@@ -3,7 +3,7 @@
 // followed by p semijoins fetching value attributes ("in many TPC-D
 // queries it reduces the cost of multiple semijoins by more than half").
 // The `Repeated` benchmarks show the LOOKUP-cache effect: the first
-// datavector semijoin pays the extent binary searches, later ones reuse
+// datavector semijoin pays the positional extent probes, later ones reuse
 // the positions.
 
 #include <benchmark/benchmark.h>

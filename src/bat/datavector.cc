@@ -1,24 +1,32 @@
 #include "bat/datavector.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace moaflat::bat {
 
+Datavector::Datavector(ColumnPtr extent, ColumnPtr values,
+                       std::shared_ptr<DvLookupCache> cache)
+    : extent_(std::move(extent)),
+      values_(std::move(values)),
+      cache_(cache ? std::move(cache) : std::make_shared<DvLookupCache>()) {
+  // The extent is sorted and duplicate-free, so it is dense iff its span
+  // equals its length.
+  const size_t n = extent_->size();
+  if (n > 0 && extent_->OidAt(n - 1) - extent_->OidAt(0) != n - 1) {
+    std::fprintf(stderr, "[moaflat] datavector extent is not dense\n");
+    std::abort();
+  }
+}
+
 int64_t Datavector::FindPosition(Oid oid) const {
-  size_t lo = 0;
-  size_t hi = extent_->size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    extent_->TouchAt(mid);
-    const Oid at = extent_->OidAt(mid);
-    if (at < oid) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < extent_->size() && extent_->OidAt(lo) == oid) {
-    return static_cast<int64_t>(lo);
-  }
-  return -1;
+  const size_t n = extent_->size();
+  if (n == 0) return -1;
+  const Oid base = extent_->OidAt(0);
+  if (oid < base || oid - base >= n) return -1;
+  const size_t pos = oid - base;
+  extent_->TouchAt(pos);
+  return static_cast<int64_t>(pos);
 }
 
 }  // namespace moaflat::bat

@@ -24,11 +24,10 @@ namespace moaflat::bat {
 /// datavector semijoins mutually synced.
 ///
 /// The LOOKUP position cache of the Section 5.2.1 pseudo-code lives here:
-/// the first semijoin against a given selection binary-searches the extent
-/// and memoizes the hit positions; subsequent semijoins with the same right
+/// the first semijoin against a given selection probes the extent and
+/// memoizes the hit positions; subsequent semijoins with the same right
 /// operand reuse them ("has already blazed the trail into the extent",
-/// Fig. 10 commentary).
-/// The LOOKUP position cache, shared by all datavectors of one class
+/// Fig. 10 commentary). The cache is shared by all datavectors of one class
 /// (they index into the same extent, so positions computed for a right
 /// operand by one attribute's semijoin are valid for every attribute).
 /// Thread-safe: concurrent queries of separate ExecContexts share the base
@@ -57,21 +56,20 @@ class DvLookupCache {
 
 class Datavector {
  public:
-  /// `extent`: sorted, duplicate-free oids of the class; `values`: the
-  /// attribute value for extent[i] at position i; `cache`: the per-class
-  /// shared LOOKUP cache (a private one is created if omitted).
+  /// `extent`: the class's oids as the dense run base, base+1, ...,
+  /// base+n-1 (every extent the loader builds); `values`: the attribute
+  /// value for extent[i] at position i; `cache`: the per-class shared
+  /// LOOKUP cache (a private one is created if omitted). Aborts if the
+  /// extent is not dense — FindPosition relies on it.
   Datavector(ColumnPtr extent, ColumnPtr values,
-             std::shared_ptr<DvLookupCache> cache = nullptr)
-      : extent_(std::move(extent)),
-        values_(std::move(values)),
-        cache_(cache ? std::move(cache)
-                     : std::make_shared<DvLookupCache>()) {}
+             std::shared_ptr<DvLookupCache> cache = nullptr);
 
   const ColumnPtr& extent() const { return extent_; }
   const ColumnPtr& values() const { return values_; }
 
-  /// Binary-searches `oid` in the extent; returns its position or -1.
-  /// Reports the probed pages to the active IO scope.
+  /// Position of `oid` in the extent, or -1: its offset from extent[0],
+  /// found with one touch of that slot — the "+1 extent lookup" page of
+  /// E_dv (Section 5.2.2). Reports the touched page to the active IO scope.
   int64_t FindPosition(Oid oid) const;
 
   /// Cached LOOKUP array for a right operand identified by `key` (the heap

@@ -37,9 +37,12 @@ Result<Bat> SyncSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 }
 
 /// The datavector semijoin of Section 5.2.1, following the paper's
-/// pseudo-code: probe the sorted EXTENT once per right operand, memoize the
-/// LOOKUP positions in the accelerator, then fetch head/tail pairs from the
-/// positionally stored EXTENT/VECTOR.
+/// pseudo-code: probe the dense EXTENT once per right operand (positionally,
+/// Datavector::FindPosition), memoize the LOOKUP positions in the
+/// accelerator, then fetch head/tail pairs from the positionally stored
+/// EXTENT/VECTOR. A full hit — every CD oid found — yields CD's own head
+/// sequence, so the result is synced with CD rather than carrying a derived
+/// key.
 Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
                                const Bat& cd, OpRecorder& rec) {
   const std::shared_ptr<Datavector> dv = ab.datavector();
@@ -51,11 +54,11 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
       dv->CachedLookup(key);
   const bool cached = lookup != nullptr;
   if (!cached) {
-    // First semijoin with this right operand: binary-search every element
-    // of CD's head in the extent (lines 7-15 of the pseudo-code). The
-    // probes are independent, so they run as morsels on the TaskPool;
-    // block shards concatenate in block order, reproducing the serial
-    // LOOKUP array (and, via the shard merge, its exact probe faults).
+    // First semijoin with this right operand: probe every element of CD's
+    // head in the extent (lines 7-15 of the pseudo-code). The probes are
+    // independent, so they run as morsels on the TaskPool; block shards
+    // concatenate in block order, reproducing the serial LOOKUP array
+    // (and, via the shard merge, its exact probe faults).
     cd.head().TouchAll();
     const BlockPlan plan = ctx.Plan(cd.size());
     struct Shard {
@@ -142,11 +145,19 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
 
   ColumnPtr out_head = hs.Finish();
-  // All datavector semijoins of one class against the same selection are
-  // mutually synced: the key derives from the shared extent column and the
-  // right operand's head value set.
-  SetSync(out_head, MixSync(MixSync(extent.sync_key(), cd.head().sync_key()),
-                            HashString("dv_semijoin")));
+  if (hits == cd.size()) {
+    // Full hit: the extent is duplicate-free and LOOKUP keeps CD order, so
+    // every CD oid was found exactly once and out_head[i] == cd.head[i] for
+    // all i — the result head *is* CD's head sequence, whatever the tails.
+    SetSync(out_head, cd.head().sync_key());  // lint:allow(sync-head-only)
+  } else {
+    // All datavector semijoins of one class against the same selection are
+    // mutually synced: the key derives from the shared extent column and
+    // the right operand's head value set.
+    SetSync(out_head,
+            MixSync(MixSync(extent.sync_key(), cd.head().sync_key()),
+                    HashString("dv_semijoin")));
+  }
   bat::Properties props;
   props.hsorted = ascending;
   props.hkey = cd.props().hkey;  // extent is duplicate-free

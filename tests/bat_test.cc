@@ -273,15 +273,30 @@ TEST(HashIndexTest, WorksOnStrings) {
   EXPECT_EQ(idx.FindFirst(*probe, 0), 0);
 }
 
-TEST(DatavectorTest, FindPositionBinarySearches) {
-  auto extent = Column::MakeOid({10, 20, 30, 40});
+TEST(DatavectorTest, FindPositionIsTheOffsetInTheExtent) {
+  auto extent = Column::MakeOid({10, 11, 12, 13});
   auto values = Column::MakeInt({1, 2, 3, 4});
   Datavector dv(extent, values);
-  EXPECT_EQ(dv.FindPosition(30), 2);
+  EXPECT_EQ(dv.FindPosition(12), 2);
   EXPECT_EQ(dv.FindPosition(10), 0);
-  EXPECT_EQ(dv.FindPosition(40), 3);
-  EXPECT_EQ(dv.FindPosition(25), -1);
+  EXPECT_EQ(dv.FindPosition(13), 3);
+  EXPECT_EQ(dv.FindPosition(9), -1);
   EXPECT_EQ(dv.FindPosition(99), -1);
+}
+
+TEST(DatavectorDeathTest, SparseExtentAborts) {
+  // FindPosition's offset arithmetic is only right on a dense extent, so a
+  // sparse one is refused at construction rather than probed wrongly.
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+  auto values = Column::MakeInt({1, 2, 3, 4});
+  EXPECT_DEATH(Datavector(Column::MakeOid({10, 20, 30, 40}), values),
+               "not dense");
+  EXPECT_DEATH(Datavector(Column::MakeOid({10, 11, 13, 14}), values),
+               "not dense");  // a single missing oid
 }
 
 TEST(DatavectorTest, LookupCacheRoundTrip) {

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <random>
+
 #include "bat/bat.h"
+#include "bat/datavector.h"
+#include "kernel/exec_context.h"
 #include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
 #include "kernel/scalar_fn.h"
+#include "storage/page_accountant.h"
+#include "force_fanout.h"
 
 namespace moaflat::kernel {
 namespace {
@@ -228,6 +237,201 @@ TEST(SemijoinTest, DatavectorSemijoinUsedAndCached) {
   EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin(cached)");
   EXPECT_EQ(Heads(out2), Heads(out1));
   EXPECT_TRUE(out1.SyncedWith(out2));
+}
+
+// ------------------------------------------------ datavector extent probe
+
+/// The class extent base, base+1, ..., base+n-1, as the TPC-D loader builds
+/// every extent.
+bat::ColumnPtr DenseExtent(Oid base, size_t n) {
+  std::vector<Oid> v(n);
+  std::iota(v.begin(), v.end(), base);
+  return Column::MakeOid(std::move(v));
+}
+
+/// Reference probe: binary search of the sorted extent.
+int64_t RefPosition(const std::vector<Oid>& extent, Oid oid) {
+  auto it = std::lower_bound(extent.begin(), extent.end(), oid);
+  return it != extent.end() && *it == oid ? it - extent.begin() : -1;
+}
+
+TEST(DatavectorTest, PositionalProbeAgreesWithBinarySearch) {
+  constexpr Oid kBase = 1000;
+  constexpr size_t kN = 5000;
+  std::vector<Oid> extent(kN);
+  std::iota(extent.begin(), extent.end(), kBase);
+  bat::Datavector dv(Column::MakeOid(extent),
+                     Column::MakeInt(std::vector<int32_t>(kN, 0)));
+  const Oid last = extent.back();
+  std::vector<Oid> probes = {0, kBase - 1, kBase, kBase + 1, last - 1,
+                             last, last + 1, last + 1000};
+  std::mt19937_64 rng(7919);
+  for (int k = 0; k < 20000; ++k) probes.push_back(rng() % (last + 64));
+  for (Oid o : probes) {
+    ASSERT_EQ(dv.FindPosition(o), RefPosition(extent, o)) << "oid " << o;
+  }
+  bat::Datavector empty(Column::MakeOid({}), Column::MakeInt({}));
+  EXPECT_EQ(empty.FindPosition(kBase), -1);
+}
+
+TEST(DatavectorTest, DenseProbeTouchesOnlyTheCandidateSlot) {
+  // E_dv's "+1 extent lookup": a dense hit reads one extent page, and an
+  // oid outside the extent's span reads none.
+  bat::Datavector dv(DenseExtent(1000, 100000),
+                     Column::MakeInt(std::vector<int32_t>(100000, 0)));
+  storage::IoStats hit;
+  {
+    storage::IoScope scope(&hit);
+    EXPECT_EQ(dv.FindPosition(1000 + 54321), 54321);
+  }
+  EXPECT_EQ(hit.logical_touches(), 1u);
+  EXPECT_EQ(hit.faults(), 1u);
+  storage::IoStats miss;
+  {
+    storage::IoScope scope(&miss);
+    EXPECT_EQ(dv.FindPosition(999), -1);
+    EXPECT_EQ(dv.FindPosition(1000 + 100000), -1);
+  }
+  EXPECT_EQ(miss.logical_touches(), 0u);
+}
+
+/// A tail-sorted attribute BAT over `extent` whose value at extent position
+/// i is `value(i)`, with a datavector on the class LOOKUP cache `cache` —
+/// the loader's layout.
+Bat DvAttr(const bat::ColumnPtr& extent,
+           const std::function<int32_t(size_t)>& value,
+           std::shared_ptr<bat::DvLookupCache> cache) {
+  const size_t n = extent->size();
+  std::vector<int32_t> by_oid(n);
+  for (size_t i = 0; i < n; ++i) by_oid[i] = value(i);
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t x, size_t y) { return by_oid[x] < by_oid[y]; });
+  std::vector<Oid> heads(n);
+  std::vector<int32_t> tails(n);
+  for (size_t k = 0; k < n; ++k) {
+    heads[k] = extent->OidAt(order[k]);
+    tails[k] = by_oid[order[k]];
+  }
+  Bat attr(Column::MakeOid(std::move(heads)),
+           Column::MakeInt(std::move(tails)),
+           Properties{true, false, false, true});
+  attr.SetDatavector(std::make_shared<bat::Datavector>(
+      extent, Column::MakeInt(std::move(by_oid)), std::move(cache)));
+  return attr;
+}
+
+constexpr Oid kDvBase = 1000;
+constexpr size_t kDvExtent = 200000;
+constexpr size_t kDvSelect = 60000;
+
+int32_t ValueA(size_t i) { return static_cast<int32_t>(i % 97); }
+int32_t ValueB(size_t i) { return static_cast<int32_t>((i * 31) % 1009); }
+
+/// kDvSelect distinct extent oids in random order — unsorted, like Q1's
+/// selections over tail-sorted attribute BATs — always including kDvBase.
+std::vector<Oid> ShuffledSelection() {
+  std::vector<Oid> oids(kDvExtent);
+  std::iota(oids.begin(), oids.end(), kDvBase);
+  std::mt19937_64 rng(7919);
+  std::shuffle(oids.begin() + 1, oids.end(), rng);
+  oids.resize(kDvSelect);
+  std::shuffle(oids.begin(), oids.end(), rng);
+  return oids;
+}
+
+TEST(DatavectorSyncTest, FullHitIsSyncedWithTheRightOperand) {
+  ForceFanout fanout;
+  const std::vector<Oid> sel = ShuffledSelection();
+  std::vector<int32_t> serial_a, serial_b;
+  for (int degree : {1, 4}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithTracer(&tracer).WithParallelDegree(degree);
+    const auto extent = DenseExtent(kDvBase, kDvExtent);
+    auto cache = std::make_shared<bat::DvLookupCache>();
+    Bat a = DvAttr(extent, ValueA, cache);
+    Bat b = DvAttr(extent, ValueB, cache);
+    Bat cd(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()),
+           Properties{true, false, false, false});
+
+    Bat ra = Semijoin(ctx, a, cd).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
+    Bat rb = Semijoin(ctx, b, cd).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin(cached)");
+    for (const Bat* r : {&ra, &rb}) {
+      EXPECT_EQ(Heads(*r), sel);
+      EXPECT_TRUE(r->SyncedWith(cd));
+      Bat again = Semijoin(ctx, *r, cd).ValueOrDie();
+      EXPECT_EQ(tracer.LastImplOf("semijoin"), "sync_semijoin");
+      EXPECT_EQ(again.size(), sel.size());
+    }
+
+    // Q1's INDEX shape: the mirror of one full-hit result is tail-aligned
+    // with every other, so the re-join is the zero-copy fetch_join.
+    Bat ab = Join(ctx, ra.Mirror(), rb).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("join"), "fetch_join");
+    Bat ba = Join(ctx, rb.Mirror(), ra).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("join"), "fetch_join");
+    ASSERT_EQ(ab.size(), sel.size());
+    const std::vector<int32_t> got_a = IntTails(ab.Mirror());
+    const std::vector<int32_t> got_b = IntTails(ab);
+    for (size_t i = 0; i < sel.size(); ++i) {
+      ASSERT_EQ(got_a[i], ValueA(sel[i] - kDvBase)) << i;
+      ASSERT_EQ(got_b[i], ValueB(sel[i] - kDvBase)) << i;
+    }
+    EXPECT_EQ(IntTails(ba), got_a);
+    if (degree == 1) {
+      serial_a = got_a;
+      serial_b = got_b;
+    } else {
+      EXPECT_EQ(got_a, serial_a);
+      EXPECT_EQ(got_b, serial_b);
+    }
+  }
+}
+
+TEST(DatavectorSyncTest, PartialHitIsNotSynced) {
+  // CD holds one oid past the end of extent A. Extent B is A shifted up by
+  // one: it holds that oid but misses kDvBase. Each semijoin drops one CD
+  // oid, so the results have equal sizes but different head sequences — a
+  // full-hit stamp forged on a partial hit would make them "synced" and
+  // turn their intersection into a wrong zero-copy view.
+  ForceFanout fanout;
+  std::vector<Oid> sel = ShuffledSelection();
+  const Oid outsider = kDvBase + kDvExtent;
+  sel.insert(sel.begin() + sel.size() / 2, outsider);
+  for (int degree : {1, 4}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithTracer(&tracer).WithParallelDegree(degree);
+    Bat a = DvAttr(DenseExtent(kDvBase, kDvExtent), ValueA,
+                   std::make_shared<bat::DvLookupCache>());
+    Bat b = DvAttr(DenseExtent(kDvBase + 1, kDvExtent), ValueB,
+                   std::make_shared<bat::DvLookupCache>());
+    Bat cd(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()),
+           Properties{true, false, false, false});
+
+    Bat ra = Semijoin(ctx, a, cd).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
+    Bat rb = Semijoin(ctx, b, cd).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
+    ASSERT_EQ(ra.size(), sel.size() - 1);
+    ASSERT_EQ(rb.size(), sel.size() - 1);
+    EXPECT_FALSE(ra.SyncedWith(cd));
+    EXPECT_FALSE(rb.SyncedWith(cd));
+    EXPECT_FALSE(ra.SyncedWith(rb));
+
+    Bat both = Semijoin(ctx, ra, rb).ValueOrDie();
+    EXPECT_NE(tracer.LastImplOf("semijoin"), "sync_semijoin");
+    EXPECT_EQ(both.size(), sel.size() - 2);
+    Bat ab = Join(ctx, ra.Mirror(), rb).ValueOrDie();
+    EXPECT_NE(tracer.LastImplOf("join"), "fetch_join");
+    EXPECT_EQ(ab.size(), sel.size() - 2);
+  }
 }
 
 TEST(SemijoinTest, DiffIsAntiSemijoin) {

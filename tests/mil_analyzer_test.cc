@@ -16,9 +16,11 @@
 #include "mil/analyzer.h"
 #include "mil/interpreter.h"
 #include "mil/parser.h"
+#include "moa/rewriter.h"
 #include "service/query_service.h"
 #include "storage/page_accountant.h"
 #include "tpcd/loader.h"
+#include "tpcd/queries.h"
 
 namespace moaflat::mil {
 namespace {
@@ -301,9 +303,8 @@ struct IntervalProbe {
 };
 
 IntervalProbe ProbeInterval(const tpcd::TpcdInstance& inst,
-                            const std::string& mil) {
+                            const MilProgram& program) {
   IntervalProbe p;
-  MilProgram program = ParseMil(mil).ValueOrDie();
   AnalysisReport report = AnalyzeProgram(program, inst.db.env());
   EXPECT_TRUE(report.ok()) << report.DiagnosticsString();
   for (const StmtInfo& s : report.stmts) {
@@ -320,6 +321,11 @@ IntervalProbe ProbeInterval(const tpcd::TpcdInstance& inst,
   EXPECT_TRUE(run.ok()) << run.ToString();
   p.measured = static_cast<double>(io.faults());
   return p;
+}
+
+IntervalProbe ProbeInterval(const tpcd::TpcdInstance& inst,
+                            const std::string& mil) {
+  return ProbeInterval(inst, ParseMil(mil).ValueOrDie());
 }
 
 TEST(MilAnalyzerIntervalTest, AdmittedBoundCoversMeasuredFaults) {
@@ -343,6 +349,23 @@ TEST(MilAnalyzerIntervalTest, AdmittedBoundCoversMeasuredFaults) {
   EXPECT_LE(q1.lo, q1.hi);
   EXPECT_GE(q1.hi, q1.measured)
       << "Q1 hi bound " << q1.hi << " below measured " << q1.measured;
+
+  // The rewriter's own Q1 and Q6 plans: first-probe and cached datavector
+  // semijoins, sync semijoins and fetch_joins over INDEX — the statements
+  // the hand-written plans above never reach.
+  for (int q : {1, 6}) {
+    auto fresh = tpcd::MakeInstance(0.004).ValueOrDie();
+    tpcd::QuerySuite suite(fresh);
+    moa::Rewriter rewriter(&fresh->db);
+    moa::Translation t =
+        rewriter.TranslateText(suite.MoaText(q)).ValueOrDie();
+    const IntervalProbe probe = ProbeInterval(*fresh, t.program);
+    EXPECT_GT(probe.measured, 0.0) << "Q" << q;
+    EXPECT_LE(probe.lo, probe.hi) << "Q" << q;
+    EXPECT_GE(probe.hi, probe.measured)
+        << "rewritten Q" << q << " hi bound " << probe.hi
+        << " below measured " << probe.measured;
+  }
 }
 
 TEST(MilAnalyzerIntervalTest, CatalogSeedsAreExact) {

@@ -18,6 +18,7 @@
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
 #include "storage/page_accountant.h"
+#include "force_fanout.h"
 
 namespace moaflat {
 namespace {
@@ -107,15 +108,6 @@ Measured RunAt(int degree, const char* op, Body&& body) {
                   io.sequential_faults(), io.random_faults(),
                   io.logical_touches()};
 }
-
-/// The hardware block cap would fold a degree-8 plan down to the machine's
-/// core count (a single block on 1-core CI), silently skipping the
-/// shard-merge paths this suite exists to test; force full fan-out for the
-/// duration of a run.
-struct ForceFanout {
-  ForceFanout() { SetParallelBlockCap(kMaxParallelDegree); }
-  ~ForceFanout() { SetParallelBlockCap(0); }
-};
 
 template <typename Body>
 void ExpectDegreeInvariant(const char* op, const char* want_impl,

@@ -698,6 +698,11 @@ TEST(CancellationTest, ShutdownVetoesQueuedQueriesAndWakesEveryWaiter) {
 
   uint64_t running_sid = svc.OpenSession().ValueOrDie();
   uint64_t running_qid = svc.Submit(running_sid, SlowScanMil()).ValueOrDie();
+  // Shutdown must find the scan running: one still queued is vetoed, not
+  // cancelled, and on a loaded machine the executor may not have taken it.
+  while (svc.Poll(running_qid).ValueOrDie().state == QueryState::kQueued) {
+    std::this_thread::yield();
+  }
   // Fill the admit queue behind the running scan.
   std::vector<uint64_t> queued;
   for (int i = 0; i < 4; ++i) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "kernel/exec_context.h"
 #include "tpcd/cost_model.h"
 #include "tpcd/generator.h"
 #include "tpcd/loader.h"
 #include "tpcd/queries.h"
+#include "force_fanout.h"
 
 namespace moaflat::tpcd {
 namespace {
@@ -160,6 +165,56 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, QueryCrossCheck,
                          [](const ::testing::TestParamInfo<int>& pinfo) {
                            return "Q" + std::to_string(pinfo.param);
                          });
+
+// ----------------------------------------------------------- Q1 plan shape
+
+TEST(Q1PlanShapeTest, IndexJoinsAreFetchJoinsAtAnyDegree) {
+  // Q1's dv semijoins against the shipdate selection hit every selected
+  // oid, so their results are synced with the selection: the re-semijoins
+  // are sync_semijoins and INDEX (a mirror of the group refinement) is
+  // tail-aligned with every attribute, so all join(INDEX, ...) are
+  // zero-copy fetch_joins. SF 0.01 keeps ~60 K items selected — enough for
+  // multi-block plans at degree 4.
+  ForceFanout fanout;
+  auto inst = MakeInstance(0.01).ValueOrDie();
+  QuerySuite suite(inst);
+  std::optional<double> serial_check;
+  for (int degree : {1, 4}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    kernel::ExecContext ctx;
+    ctx.WithParallelDegree(degree);
+    auto monet = suite.RunMonet(1, ctx);
+    ASSERT_TRUE(monet.ok()) << monet.status().ToString();
+    EXPECT_EQ(monet->via, "moa");
+    int index_joins = 0;
+    std::vector<std::string> hash_semijoins;
+    for (const mil::StmtTrace& t : monet->traces) {
+      EXPECT_NE(t.impl, "hash_join") << t.text;
+      if (t.impl == "hash_semijoin") hash_semijoins.push_back(t.text);
+      if (t.text.find("join(INDEX,") != std::string::npos) {
+        ++index_joins;
+        EXPECT_EQ(t.impl, "fetch_join") << t.text;
+      }
+    }
+    EXPECT_EQ(index_joins, 8);
+    // Two hash semijoins remain, both over the per-group unique values (one
+    // row per (returnflag, linestatus)): a unique result carries no order
+    // or sync proof. Any other hash semijoin is a plan regression.
+    EXPECT_EQ(hash_semijoins,
+              (std::vector<std::string>{
+                  "returnflag_of2 := semijoin(RETURNFLAG, groups)",
+                  "linestatus_of2 := semijoin(LINESTATUS, groups)"}));
+    if (!serial_check) {
+      auto base = suite.RunBaseline(1, ctx);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      EXPECT_EQ(monet->rows, base->rows);
+      EXPECT_NEAR(monet->check, base->check, 1e-6 * std::fabs(base->check));
+      serial_check = monet->check;
+    } else {
+      EXPECT_EQ(monet->check, *serial_check);  // bit-identical
+    }
+  }
+}
 
 // -------------------------------------------------------------- cost model
 
