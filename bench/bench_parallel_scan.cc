@@ -20,11 +20,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "bat/bat.h"
+#include "bat/datavector.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "kernel/exec_context.h"
@@ -208,6 +210,24 @@ int main(int argc, char** argv) {
     return Bat(Column::MakeOid(std::move(h)), DblAttr(small, 22).tail_col());
   }();
 
+  // Datavector join: foreign oids into a class attribute carrying a
+  // datavector, ~1.5% of them dangling (a partial hit gathers both sides).
+  Bat dv_attr = [&] {
+    Bat attr = DblAttr(small, 24);
+    attr.SetDatavector(
+        std::make_shared<bat::Datavector>(attr.head_col(), attr.tail_col()));
+    return attr;
+  }();
+  Bat dv_fk = [&] {
+    Rng rng(25);
+    std::vector<Oid> heads(small);
+    std::iota(heads.begin(), heads.end(), Oid{1});
+    std::vector<Oid> fks(small);
+    for (auto& v : fks) v = static_cast<Oid>(rng.Uniform(1, small + small / 64));
+    return Bat(Column::MakeOid(std::move(heads)),
+               Column::MakeOid(std::move(fks)));
+  }();
+
   struct Named {
     const char* name;
     size_t input_rows;  // driver cardinality the block planner sees
@@ -230,6 +250,10 @@ int main(int argc, char** argv) {
       {"hash_join", small,
        [&](const kernel::ExecContext& ctx) {
          return kernel::Join(ctx, fk, pk).ValueOrDie().size();
+       }},
+      {"datavector_join", small,
+       [&](const kernel::ExecContext& ctx) {
+         return kernel::Join(ctx, dv_fk, dv_attr).ValueOrDie().size();
        }},
       {"hash_group", small,
        [&](const kernel::ExecContext& ctx) {

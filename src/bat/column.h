@@ -1,7 +1,10 @@
 #ifndef MOAFLAT_BAT_COLUMN_H_
 #define MOAFLAT_BAT_COLUMN_H_
 
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -308,6 +311,29 @@ class Column {
     if (storage::IoStats* io = storage::CurrentIo()) {
       io->TouchGather(heap_id_, idx, n, width());
     }
+  }
+
+  /// One column read by a gather loop: element idx[k] of `col`.
+  struct GatherSource {
+    const Column* col;
+    const uint32_t* idx;
+  };
+
+  /// Reports the touches of a loop that reads, for each k in [0, n),
+  /// element idx[k] of every listed column in turn (at most four) — see
+  /// storage::IoStats::TouchGathers for how the accountant orders them.
+  static void TouchGathers(std::initializer_list<GatherSource> sources,
+                           size_t n) {
+    storage::IoStats* io = storage::CurrentIo();
+    if (io == nullptr || n == 0) return;
+    std::array<storage::IoStats::Gather, 4> g;
+    assert(sources.size() <= g.size());
+    size_t m = 0;
+    for (const GatherSource& s : sources) {
+      g[m++] = {s.col->heap_id(), s.idx, s.col->width()};
+    }
+    io->TouchGathers(std::span<const storage::IoStats::Gather>(g.data(), m),
+                     n);
   }
 
   /// Storage representation; exposed for the builder machinery only.

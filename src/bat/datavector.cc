@@ -19,14 +19,4 @@ Datavector::Datavector(ColumnPtr extent, ColumnPtr values,
   }
 }
 
-int64_t Datavector::FindPosition(Oid oid) const {
-  const size_t n = extent_->size();
-  if (n == 0) return -1;
-  const Oid base = extent_->OidAt(0);
-  if (oid < base || oid - base >= n) return -1;
-  const size_t pos = oid - base;
-  extent_->TouchAt(pos);
-  return static_cast<int64_t>(pos);
-}
-
 }  // namespace moaflat::bat

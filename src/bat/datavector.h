@@ -60,17 +60,40 @@ class Datavector {
   /// base+n-1 (every extent the loader builds); `values`: the attribute
   /// value for extent[i] at position i; `cache`: the per-class shared
   /// LOOKUP cache (a private one is created if omitted). Aborts if the
-  /// extent is not dense — FindPosition relies on it.
+  /// extent is not dense — MapPositions relies on it.
   Datavector(ColumnPtr extent, ColumnPtr values,
              std::shared_ptr<DvLookupCache> cache = nullptr);
 
   const ColumnPtr& extent() const { return extent_; }
   const ColumnPtr& values() const { return values_; }
 
-  /// Position of `oid` in the extent, or -1: its offset from extent[0],
-  /// found with one touch of that slot — the "+1 extent lookup" page of
-  /// E_dv (Section 5.2.2). Reports the touched page to the active IO scope.
-  int64_t FindPosition(Oid oid) const;
+  /// The extent probe: maps oids[i] for i in [begin, end) to extent
+  /// positions, calling hit(i, pos) for an oid in the extent and miss(i)
+  /// otherwise — the offset from extent[0], one subtraction per oid. No
+  /// page is touched: callers charge what they then read (the semijoin's
+  /// probe charges one extent slot per hit, the "+1 extent lookup" page of
+  /// E_dv, Section 5.2.2). `oids` must be an oid or void column.
+  template <typename Hit, typename Miss>
+  void MapPositions(const Column& oids, size_t begin, size_t end, Hit&& hit,
+                    Miss&& miss) const {
+    const uint64_t n = extent_->size();
+    const Oid base = n > 0 ? extent_->OidAt(0) : 0;
+    auto run = [&](auto oid_at) {
+      for (size_t i = begin; i < end; ++i) {
+        const uint64_t pos = oid_at(i) - base;  // below base wraps high
+        if (pos < n) {
+          hit(i, static_cast<uint32_t>(pos));
+        } else {
+          miss(i);
+        }
+      }
+    };
+    if (oids.is_void()) {
+      run([vb = oids.void_base()](size_t i) { return vb + i; });
+    } else {
+      run([p = oids.Span<Oid>().data()](size_t i) { return p[i]; });
+    }
+  }
 
   /// Cached LOOKUP array for a right operand identified by `key` (the heap
   /// id of its head column — columns are immutable, so the id identifies

@@ -342,7 +342,7 @@ Result<Bat> SetAggregate(const ExecContext& ctx, AggKind kind, const Bat& ab) {
         std::string(TypeName(head.type())));
   }
   return KernelRegistry::Global().Dispatch<SetAggImplSig>(
-      "set_aggregate", MakeInput(ctx, ab), ctx, kind, ab, rec);
+      "set_aggregate", MakeInput(ab), ctx, kind, ab, rec);
 }
 
 Result<Value> ScalarAggregate(const ExecContext& ctx, AggKind kind,
@@ -388,7 +388,7 @@ void RegisterAggregateKernels(KernelRegistry& r) {
       [](const DispatchInput& in) {
         return HeapPages(in.left.size, in.left.head_width) +
                HeapPages(in.left.size, in.left.tail_width) +
-               kCpuSequential / ParallelCpuScale(in.left.size, in.degree);
+               kCpuSequential;
       },
       std::function<SetAggImplSig>(RunSetAggregate),
       "head-sorted groups are contiguous: run-aligned parallel pass");
@@ -398,7 +398,7 @@ void RegisterAggregateKernels(KernelRegistry& r) {
       [](const DispatchInput& in) {
         return HeapPages(in.left.size, in.left.head_width) +
                HeapPages(in.left.size, in.left.tail_width) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<SetAggImplSig>(HashSetAggregate),
       "one accumulator per group oid, group-partitioned across the pool");

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/parallel.h"
 #include "storage/page_accountant.h"
 
 /// The Section 5.2.2 page-fault cost model, promoted from a TPC-D-only
@@ -24,19 +23,11 @@ inline constexpr double kDispatchSelectivity = 0.02;
 /// CPU tie-breakers, in fractions of one page fault: page counts often tie
 /// between variants on small operands, so each variant adds a constant
 /// ordered by its per-row in-memory work. Never outweighs one real fault.
+/// No cost depends on the parallel degree: a degree-dependent choice would
+/// pick variants that emit (and sum) in a different order, breaking the
+/// bit-identical-at-any-degree guarantee.
 inline constexpr double kCpuSequential = 0.25;
 inline constexpr double kCpuHashed = 0.5;
-
-/// Divisor a morsel-parallel variant applies to its CPU tie-breaker: the
-/// block count the planner would actually produce for an evaluation phase
-/// over `rows` items at the context's `degree`. Inputs under the morsel
-/// floor keep their serial cost (no phantom speedup from a degree the
-/// planner would ignore); large inputs at a fan-out degree shift ties
-/// toward TaskPool-scalable variants. Page-fault terms are never divided:
-/// parallel execution saves wall clock, not cold faults.
-inline double ParallelCpuScale(uint64_t rows, int degree) {
-  return static_cast<double>(PlanBlocks(rows, degree).blocks);
-}
 
 /// B-byte pages occupied by `rows` values of `width` bytes each. Void and
 /// empty heaps occupy no storage (0 pages), mirroring IoStats, which

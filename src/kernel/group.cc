@@ -362,27 +362,26 @@ Result<Bat> HashGroupRefine(const ExecContext& ctx, const Bat& ab,
 Result<Bat> Group(const ExecContext& ctx, const Bat& ab) {
   OpRecorder rec(ctx, "group");
   return KernelRegistry::Global().Dispatch<UnaryImplSig>(
-      "group", MakeInput(ctx, ab), ctx, ab, rec);
+      "group", MakeInput(ab), ctx, ab, rec);
 }
 
 Result<Bat> GroupRefine(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
   OpRecorder rec(ctx, "group");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
-      "group_refine", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);
+      "group_refine", MakeInput(ab, cd), ctx, ab, cd, rec);
 }
 
 namespace internal {
 
 void RegisterGroupKernels(KernelRegistry& r) {
-  // Costs are expected cold page faults (Section 5.2.2 page geometry);
-  // CPU tie-breakers divide by the context degree where the evaluation
-  // phase runs on the TaskPool.
+  // Costs are expected cold page faults (Section 5.2.2 page geometry)
+  // plus a sub-page CPU tie-breaker.
   r.Register<UnaryImplSig>(
       "group", "hash_group",
       [](const DispatchInput&) { return true; },
       [](const DispatchInput& in) {
         return HeapPages(in.left.size, in.left.tail_width) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<UnaryImplSig>(HashGroup),
       "hash-cons tail values into dense first-appearance oids (parallel)");
@@ -392,7 +391,7 @@ void RegisterGroupKernels(KernelRegistry& r) {
       [](const DispatchInput& in) {
         return HeapPages(in.left.size, in.left.tail_width) +
                HeapPages(in.right->size, in.right->tail_width) +
-               kCpuSequential / ParallelCpuScale(in.left.size, in.degree);
+               kCpuSequential;
       },
       std::function<BinaryImplSig>(SyncGroupRefine),
       "operands synced: positional refinement pass (parallel)");
@@ -407,7 +406,7 @@ void RegisterGroupKernels(KernelRegistry& r) {
         return build + HeapPages(in.left.size, in.left.tail_width) +
                RandomFetchPages(in.right->size, in.right->tail_width,
                                 static_cast<double>(in.left.size)) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<BinaryImplSig>(HashGroupRefine),
       "align refining values via CD's head hash accelerator (parallel)");

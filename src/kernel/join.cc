@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -31,6 +33,17 @@ struct JoinOut {
       : heads(BuilderType(a)), tails(BuilderType(d), d.str_heap()) {}
 };
 
+bat::Properties JoinProps(const Bat& ab, const Bat& cd) {
+  bat::Properties props;
+  // All implementations emit in left-BUN order; right-side duplicates
+  // repeat the same head value consecutively, so sortedness survives.
+  props.hsorted = ab.props().hsorted;
+  props.hkey = ab.props().hkey && cd.props().hkey;
+  props.tsorted = false;
+  props.tkey = false;
+  return props;
+}
+
 /// Common epilogue of the materializing join variants.
 Result<Bat> FinishJoin(const Bat& ab, const Bat& cd, ColumnPtr out_head,
                        ColumnPtr out_tail) {
@@ -42,14 +55,8 @@ Result<Bat> FinishJoin(const Bat& ab, const Bat& cd, ColumnPtr out_head,
                                             ab.tail().sync_key()),
                                     cd.head().sync_key()),
                             HashString("join")));
-  bat::Properties props;
-  // All implementations emit in left-BUN order; right-side duplicates
-  // repeat the same head value consecutively, so sortedness survives.
-  props.hsorted = ab.props().hsorted;
-  props.hkey = ab.props().hkey && cd.props().hkey;
-  props.tsorted = false;
-  props.tkey = false;
-  return Bat::Make(std::move(out_head), std::move(out_tail), props);
+  return Bat::Make(std::move(out_head), std::move(out_tail),
+                   JoinProps(ab, cd));
 }
 
 /// Positional join over provably identical join columns: the result is
@@ -136,7 +143,10 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   std::vector<Shard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    storage::IoScope scope(&mine.io);
+    // A serial plan touches the caller's accountant directly, so an LRU
+    // pager sees the probe's true c/a/d interleaving.
+    std::optional<storage::IoScope> scope;
+    if (plan.blocks > 1) scope.emplace(&mine.io);
     // The charge counter is shared and atomic, so concurrent shard gates
     // account exactly and an over-budget join stops all blocks early.
     // The gate is fed per match (so a high-fanout probe cannot overshoot
@@ -148,11 +158,9 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
     for (size_t lo = begin; lo < end && mine.status.ok();
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
+      const size_t first = mine.lefts.size();
       hash->ForEachMatchRange(b, lo, hi, [&](size_t i, uint32_t pos) {
         if (!mine.status.ok()) return;
-        c.TouchAt(pos);
-        a.TouchAt(i);
-        d.TouchAt(pos);
         mine.lefts.push_back(static_cast<uint32_t>(i));
         mine.rights.push_back(pos);
         if (++pending >= internal::ChargeGate::kChunkRows) {
@@ -160,12 +168,18 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
           pending = 0;
         }
       });
+      // Each match reads c and d at its right position, a at its left.
+      const uint32_t* rights = mine.rights.data() + first;
+      Column::TouchGathers({{&c, rights},
+                            {&a, mine.lefts.data() + first},
+                            {&d, rights}},
+                           mine.lefts.size() - first);
     }
     if (mine.status.ok()) mine.status = gate.Add(pending);
     if (mine.status.ok()) mine.status = gate.Flush();
   });
-  for (Shard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
+  if (plan.blocks > 1 && ctx.io() != nullptr) {
+    for (Shard& s : shards) ctx.io()->MergeFrom(s.io);
   }
   for (Shard& s : shards) {
     MF_RETURN_NOT_OK(s.status);
@@ -194,6 +208,106 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   return res;
 }
 
+/// The datavector join (Section 5.2, Fig. 7 read from the other side): CD
+/// carries a datavector, so its head is the dense class extent with each
+/// oid once, and the value of oid o sits at VECTOR[o - extent[0]]. Each AB
+/// tail oid maps to its position by one subtraction, and a hit emits
+/// (A[i], VECTOR[pos]) in left-BUN order — exactly the BUN sequence
+/// hash_join emits. The join charges only what it reads: AB's tail
+/// sequentially, VECTOR at the hit positions and A at the hit positions
+/// (whole, on a full hit). It never reads CD or the extent. On a full hit
+/// — every AB tail oid in the extent — the result head is AB's own head
+/// column, shared zero-copy like fetch_join's, so the result is synced
+/// with AB; a partial hit gathers A and derives FinishJoin's key.
+Result<Bat> DatavectorJoin(const ExecContext& ctx, const Bat& ab,
+                           const Bat& cd, OpRecorder& rec) {
+  const std::shared_ptr<bat::Datavector> dv = cd.datavector();
+  const Column& vector = *dv->values();
+  const Column& a = ab.head();
+  const Column& b = ab.tail();
+  b.TouchAll();
+
+  // Probe phase: a block records its left positions only from its first
+  // miss on — the lefts of a block where every row hit are begin..end.
+  struct alignas(64) Shard {
+    std::vector<uint32_t> rights;  // VECTOR positions of the hits
+    std::vector<uint32_t> lefts;   // their left positions, once `missed`
+    bool missed = false;
+    storage::IoStats io = storage::IoStats::ForShard();
+  };
+  const BlockPlan plan = ctx.Plan(ab.size());
+  std::vector<Shard> shards(plan.blocks);
+  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+    Shard& mine = shards[block];
+    mine.rights.reserve(end - begin);
+    dv->MapPositions(
+        b, begin, end,
+        [&](size_t i, uint32_t pos) {
+          mine.rights.push_back(pos);
+          if (mine.missed) mine.lefts.push_back(static_cast<uint32_t>(i));
+        },
+        [&](size_t i) {
+          if (mine.missed) return;
+          mine.missed = true;
+          mine.lefts.resize(i - begin);
+          std::iota(mine.lefts.begin(), mine.lefts.end(),
+                    static_cast<uint32_t>(begin));
+        });
+  });
+  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
+
+  std::vector<size_t> offset(plan.blocks + 1, 0);
+  bool full = true;
+  for (size_t bl = 0; bl < plan.blocks; ++bl) {
+    offset[bl + 1] = offset[bl] + shards[bl].rights.size();
+    full = full && !shards[bl].missed;
+  }
+  const size_t hits = offset.back();
+  // A full hit shares A, so only the gathered tail is new memory; the
+  // position shards (rights, plus lefts on a partial hit) are transient.
+  MF_RETURN_NOT_OK(ctx.ChargeMemory(
+      hits * static_cast<uint64_t>(
+                 full ? internal::ChargeWidth(vector)
+                      : internal::ChargeRowBytes(a, vector))));
+  internal::TransientCharge staging(ctx);
+  MF_RETURN_NOT_OK(staging.Add(hits * (full ? 1 : 2) * sizeof(uint32_t)));
+  if (full) a.TouchAll();
+
+  std::optional<bat::ColumnScatter> hs;
+  if (!full) hs.emplace(a, hits);
+  bat::ColumnScatter ts(vector, hits);
+  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+    Shard& mine = shards[block];
+    // A serial plan touches the caller's accountant directly, so an LRU
+    // pager sees the fetch loop's true a/vector interleaving.
+    std::optional<storage::IoScope> scope;
+    if (plan.blocks > 1) scope.emplace(&mine.io);
+    const size_t m = mine.rights.size();
+    if (full) {
+      vector.TouchGather(mine.rights.data(), m);
+    } else {
+      if (!mine.missed) {
+        mine.lefts.resize(end - begin);
+        std::iota(mine.lefts.begin(), mine.lefts.end(),
+                  static_cast<uint32_t>(begin));
+      }
+      Column::TouchGathers(
+          {{&a, mine.lefts.data()}, {&vector, mine.rights.data()}}, m);
+      hs->Gather(mine.lefts.data(), m, offset[block]);
+    }
+    ts.Gather(mine.rights.data(), m, offset[block]);
+  });
+  if (plan.blocks > 1 && ctx.io() != nullptr) {
+    for (const Shard& s : shards) ctx.io()->MergeFrom(s.io);
+  }
+  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
+
+  Result<Bat> res = full ? Bat::Make(ab.head_col(), ts.Finish(),
+                                     JoinProps(ab, cd))
+                         : FinishJoin(ab, cd, hs->Finish(), ts.Finish());
+  if (res.ok()) rec.Finish("datavector_join", res->size());
+  return res;
+}
 
 }  // namespace
 
@@ -203,7 +317,7 @@ Result<Bat> Join(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
   // KernelRegistry::Explain("join", ab, cd).
   OpRecorder rec(ctx, "join");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
-      "join", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);
+      "join", MakeInput(ab, cd), ctx, ab, cd, rec);
 }
 
 namespace internal {
@@ -244,6 +358,24 @@ void RegisterJoinKernels(KernelRegistry& r) {
       std::function<BinaryImplSig>(MergeJoin),
       "single interleaved pass over tsorted x hsorted operands");
   r.Register<BinaryImplSig>(
+      "join", "datavector_join",
+      [](const DispatchInput& in) {
+        return in.right.has_value() && in.right->has_datavector &&
+               in.left.tail_oidlike;
+      },
+      [](const DispatchInput& in) {
+        // AB's tail is read sequentially; each match fetches A and VECTOR
+        // (CD's values in oid order, CD's tail width) by position. CD's
+        // own columns and the extent are never read.
+        const double est = EstJoinMatches(in);
+        return HeapPages(in.left.size, in.left.tail_width) +
+               RandomFetchPages(in.left.size, in.left.head_width, est) +
+               RandomFetchPages(in.right->size, in.right->tail_width, est) +
+               kCpuSequential;
+      },
+      std::function<BinaryImplSig>(DatavectorJoin),
+      "Section 5.2 datavector: AB tail oids index CD's VECTOR by position");
+  r.Register<BinaryImplSig>(
       "join", "hash_join",
       [](const DispatchInput& in) { return in.right.has_value(); },
       [](const DispatchInput& in) {
@@ -259,7 +391,7 @@ void RegisterJoinKernels(KernelRegistry& r) {
                RandomFetchPages(in.right->size, in.right->head_width, est) +
                RandomFetchPages(in.left.size, in.left.head_width, est) +
                RandomFetchPages(in.right->size, in.right->tail_width, est) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<BinaryImplSig>(HashJoin),
       "probe the (cached) hash accelerator on CD's head (parallel probe)");

@@ -669,7 +669,6 @@ Result<Bat> Multiplex(const ExecContext& ctx, const std::string& fn,
   }
   in.synced = sh.synced;
   in.param = OpParam{static_cast<int64_t>(args.size()), fn, sh.numeric};
-  in.degree = ctx.parallel_degree();
   return KernelRegistry::Global().Dispatch<MultiplexImplSig>("multiplex", in,
                                                              ctx, fn, args,
                                                              rec);
@@ -692,7 +691,7 @@ void RegisterMultiplexKernels(KernelRegistry& r) {
       [](const DispatchInput& in) { return in.synced; },
       [](const DispatchInput& in) {
         return MxTailPages(in) +
-               kCpuSequential / ParallelCpuScale(in.left.size, in.degree);
+               kCpuSequential;
       },
       std::function<MultiplexImplSig>(SyncedMultiplex),
       "positional row evaluation over synced operands (typed, parallel)");
@@ -710,7 +709,7 @@ void RegisterMultiplexKernels(KernelRegistry& r) {
                                    static_cast<double>(in.left.size));
         }
         return MxTailPages(in) + extra +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<MultiplexImplSig>(HeadJoinMultiplex),
       "natural join on heads via the hash accelerators (parallel probe)");

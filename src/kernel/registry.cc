@@ -18,6 +18,8 @@ OperandView OperandView::Of(const Bat& b) {
   v.has_datavector = b.datavector() != nullptr;
   v.head_oidlike =
       b.head().type() == MonetType::kOidT || b.head().is_void();
+  v.tail_oidlike =
+      b.tail().type() == MonetType::kOidT || b.tail().is_void();
   return v;
 }
 
@@ -41,7 +43,6 @@ std::string DispatchInput::ToString() const {
     out += "; param=";
     out += param->name.empty() ? std::to_string(param->code) : param->name;
   }
-  if (degree > 1) out += "; deg=" + std::to_string(degree);
   if (est_selectivity >= 0) {
     out += "; sel=" + std::to_string(est_selectivity);
   }
@@ -66,19 +67,6 @@ DispatchInput MakeInput(const Bat& ab, const Bat& cd) {
       (b.is_void() && c.is_void() && b.void_base() == c.void_base() &&
        b.size() == c.size()) ||
       (b.sync_key() == c.sync_key() && b.size() == c.size());
-  return in;
-}
-
-DispatchInput MakeInput(const ExecContext& ctx, const Bat& ab) {
-  DispatchInput in = MakeInput(ab);
-  in.degree = ctx.parallel_degree();
-  return in;
-}
-
-DispatchInput MakeInput(const ExecContext& ctx, const Bat& ab,
-                        const Bat& cd) {
-  DispatchInput in = MakeInput(ab, cd);
-  in.degree = ctx.parallel_degree();
   return in;
 }
 

@@ -42,6 +42,7 @@ struct OperandView {
   bool tail_hashed = false;
   bool has_datavector = false;  // Section 5.2 datavector accelerator
   bool head_oidlike = false;    // head type is oid or void
+  bool tail_oidlike = false;    // tail type is oid or void
 
   static OperandView Of(const Bat& b);
   std::string ToString() const;
@@ -70,12 +71,6 @@ struct DispatchInput {
   bool tail_head_aligned = false;
   /// Operator-parameter slot; absent for purely operand-driven families.
   std::optional<OpParam> param;
-  /// Effective parallelism degree of the dispatching context (>= 1).
-  /// Parallelized variants divide their CPU tie-breaker terms by it, so a
-  /// high-degree context shifts ties toward implementations whose
-  /// evaluation phase scales with the TaskPool; page-fault terms are
-  /// degree-invariant (parallel execution never saves a cold fault).
-  int degree = 1;
   /// Estimated fraction of qualifying rows, when the caller can do better
   /// than the fixed kDispatchSelectivity prior — the select entry point
   /// sets this from a two-probe binary-search estimate on tail-sorted
@@ -88,10 +83,6 @@ struct DispatchInput {
 
 DispatchInput MakeInput(const Bat& ab);
 DispatchInput MakeInput(const Bat& ab, const Bat& cd);
-/// Context-aware variants used by the operator entry points: identical
-/// snapshots plus the context's effective parallelism degree.
-DispatchInput MakeInput(const ExecContext& ctx, const Bat& ab);
-DispatchInput MakeInput(const ExecContext& ctx, const Bat& ab, const Bat& cd);
 
 /// Exec signatures of the registered operator families. Every variant
 /// finishes its own OpRecorder (so it can refine the reported name, e.g.

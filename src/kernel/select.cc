@@ -275,7 +275,7 @@ Result<Bat> ScanSelect(const ExecContext& ctx, const Bat& ab, const Bound& lo,
 Result<Bat> RangeSelect(const ExecContext& ctx, const Bat& ab,
                         const Bound& lo, const Bound& hi) {
   OpRecorder rec(ctx, "select");
-  DispatchInput in = MakeInput(ctx, ab);
+  DispatchInput in = MakeInput(ab);
   in.est_selectivity = EstimateSelectivity(ab, lo, hi);
   return KernelRegistry::Global().Dispatch<SelectImplSig>("select", in, ctx,
                                                           ab, lo, hi, rec);
@@ -422,7 +422,7 @@ void RegisterSelectKernels(KernelRegistry& r) {
         // variants round to the same one or two pages.
         return HeapPages(in.left.size, in.left.tail_width) +
                RandomFetchPages(in.left.size, in.left.head_width, matches) +
-               kCpuSequential / ParallelCpuScale(in.left.size, in.degree);
+               kCpuSequential;
       },
       std::function<SelectImplSig>(ScanSelect),
       "parallel-block typed scan of the tail, two-phase parallel gather");

@@ -38,7 +38,7 @@ Result<Bat> SyncSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 
 /// The datavector semijoin of Section 5.2.1, following the paper's
 /// pseudo-code: probe the dense EXTENT once per right operand (positionally,
-/// Datavector::FindPosition), memoize the LOOKUP positions in the
+/// Datavector::MapPositions), memoize the LOOKUP positions in the
 /// accelerator, then fetch head/tail pairs from the positionally stored
 /// EXTENT/VECTOR. A full hit — every CD oid found — yields CD's own head
 /// sequence, so the result is synced with CD rather than carrying a derived
@@ -69,10 +69,12 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     RunBlocks(plan, [&](int block, size_t begin, size_t end) {
       Shard& mine = shards[block];
       storage::IoScope scope(&mine.io);
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t pos = dv->FindPosition(cd.head().OidAt(i));
-        if (pos >= 0) mine.positions.push_back(static_cast<uint32_t>(pos));
-      }
+      dv->MapPositions(
+          cd.head(), begin, end,
+          [&](size_t, uint32_t pos) { mine.positions.push_back(pos); },
+          [](size_t) {});
+      // One extent slot per hit, in probe order: E_dv's extent lookup.
+      extent.TouchGather(mine.positions.data(), mine.positions.size());
     });
     // An interrupted probe phase leaves partial shards: bail *before*
     // caching, so the accelerator's LOOKUP memo is never half-built.
@@ -98,49 +100,30 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
   bat::ColumnScatter hs(extent, hits);
   bat::ColumnScatter ts(vector, hits);
   const uint32_t* pos_data = lookup->data();
+  struct alignas(64) InsertShard {
+    storage::IoStats io = storage::IoStats::ForShard();
+    bool ascending = true;
+  };
+  std::vector<InsertShard> ishards(iplan.blocks);
+  RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
+    InsertShard& mine = ishards[block];
+    // A serial plan touches the caller's accountant directly, so an LRU
+    // pager sees the fetch loop's true extent/vector interleaving.
+    std::optional<storage::IoScope> scope;
+    if (iplan.blocks > 1) scope.emplace(&mine.io);
+    const uint32_t* idx = pos_data + begin;
+    Column::TouchGathers({{&extent, idx}, {&vector, idx}}, end - begin);
+    hs.Gather(idx, end - begin, begin);
+    ts.Gather(idx, end - begin, begin);
+    // Blocks overlap by one element, so block-local ascending runs chain
+    // into a global one.
+    const size_t from = begin > 0 ? begin - 1 : begin;
+    mine.ascending = std::is_sorted(pos_data + from, pos_data + end);
+  });
   bool ascending = true;
-  if (iplan.blocks <= 1) {
-    // Serial: interleave the extent/vector touches per element under the
-    // caller's accountant, as the fetch loop really accesses them — a
-    // capacity-limited (LRU) pager is sensitive to that order, and shard
-    // replay would drop the re-faults of pages it evicts mid-phase.
-    for (size_t k = 0; k < hits; ++k) {
-      extent.TouchAt(pos_data[k]);
-      vector.TouchAt(pos_data[k]);
-      if (k > 0 && pos_data[k] < pos_data[k - 1]) ascending = false;
-    }
-    hs.Gather(pos_data, hits, 0);
-    ts.Gather(pos_data, hits, 0);
-  } else {
-    struct alignas(64) InsertShard {
-      storage::IoStats io = storage::IoStats::ForShard();
-      bool ascending = true;
-      uint32_t first = 0, last = 0;
-    };
-    std::vector<InsertShard> ishards(iplan.blocks);
-    RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
-      InsertShard& mine = ishards[block];
-      storage::IoScope scope(&mine.io);
-      extent.TouchGather(pos_data + begin, end - begin);
-      vector.TouchGather(pos_data + begin, end - begin);
-      hs.Gather(pos_data + begin, end - begin, begin);
-      ts.Gather(pos_data + begin, end - begin, begin);
-      for (size_t k = begin + 1; k < end; ++k) {
-        if (pos_data[k] < pos_data[k - 1]) {
-          mine.ascending = false;
-          break;
-        }
-      }
-      mine.first = pos_data[begin];
-      mine.last = pos_data[end - 1];
-    });
-    for (size_t bl = 0; bl < iplan.blocks; ++bl) {
-      if (ctx.io() != nullptr) ctx.io()->MergeFrom(ishards[bl].io);
-      if (!ishards[bl].ascending ||
-          (bl > 0 && ishards[bl].first < ishards[bl - 1].last)) {
-        ascending = false;
-      }
-    }
+  for (const InsertShard& s : ishards) {
+    if (iplan.blocks > 1 && ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
+    ascending = ascending && s.ascending;
   }
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
 
@@ -437,19 +420,19 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 Result<Bat> Semijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
   OpRecorder rec(ctx, "semijoin");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
-      "semijoin", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);
+      "semijoin", MakeInput(ab, cd), ctx, ab, cd, rec);
 }
 
 Result<Bat> Diff(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
   OpRecorder rec(ctx, "kdiff");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
-      "kdiff", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);
+      "kdiff", MakeInput(ab, cd), ctx, ab, cd, rec);
 }
 
 Result<Bat> Union(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
   OpRecorder rec(ctx, "kunion");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
-      "kunion", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);
+      "kunion", MakeInput(ab, cd), ctx, ab, cd, rec);
 }
 
 Result<Bat> Intersect(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
@@ -485,8 +468,7 @@ void RegisterSemijoinKernels(KernelRegistry& r) {
         return HeapPages(in.right->size, in.right->head_width) +
                RandomFetchPages(in.left.size, in.left.head_width, est) +
                RandomFetchPages(in.left.size, in.left.tail_width, est) +
-               kCpuSequential /
-                   ParallelCpuScale(in.right->size, in.degree);
+               kCpuSequential;
       },
       std::function<BinaryImplSig>(DatavectorSemijoin),
       "Section 5.2.1 datavector with the persistent LOOKUP cache");
@@ -518,14 +500,14 @@ void RegisterSemijoinKernels(KernelRegistry& r) {
         return build + HeapPages(in.left.size, in.left.head_width) +
                RandomFetchPages(in.left.size, in.left.tail_width,
                                 EstSemijoinMatches(in)) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<BinaryImplSig>(HashSemijoin),
       "probe the (cached) hash accelerator on CD's head (parallel probe)");
 
   // kdiff/kunion have one registered shape each today; registration still
-  // buys degree-aware costs in the decision table (Explain) and a seam
-  // for future merge/sync variants.
+  // buys costs in the decision table (Explain) and a seam for future
+  // merge/sync variants.
   r.Register<BinaryImplSig>(
       "kdiff", "hash_antisemijoin",
       [](const DispatchInput& in) { return in.right.has_value(); },
@@ -540,7 +522,7 @@ void RegisterSemijoinKernels(KernelRegistry& r) {
         return build + HeapPages(in.left.size, in.left.head_width) +
                RandomFetchPages(in.left.size, in.left.tail_width,
                                 est > 0 ? est : 0) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<BinaryImplSig>(HashAntiSemijoin),
       "anti-probe the hash accelerator on CD's head (parallel probe)");
@@ -559,7 +541,7 @@ void RegisterSemijoinKernels(KernelRegistry& r) {
                HeapPages(in.right->size, in.right->head_width) +
                RandomFetchPages(in.right->size, in.right->tail_width,
                                 est > 0 ? est : 0) +
-               kCpuHashed / ParallelCpuScale(in.right->size, in.degree);
+               kCpuHashed;
       },
       std::function<BinaryImplSig>(HashUnion),
       "copy AB, anti-probe CD against AB's head hash (parallel probe)");

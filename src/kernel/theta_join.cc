@@ -344,7 +344,7 @@ Result<Bat> ThetaJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   // `=` is the equi-join family with its own variants and accelerators.
   if (op == CmpOp::kEq) return Join(ctx, ab, cd);
   OpRecorder rec(ctx, "thetajoin");
-  DispatchInput in = MakeInput(ctx, ab, cd);
+  DispatchInput in = MakeInput(ab, cd);
   in.param = OpParam{static_cast<int64_t>(op), "", false};
   return KernelRegistry::Global().Dispatch<ThetaImplSig>("thetajoin", in, ctx,
                                                          ab, cd, op, rec);
@@ -417,7 +417,7 @@ void RegisterThetaJoinKernels(KernelRegistry& r) {
       },
       [](const DispatchInput& in) {
         return ThetaGatherPages(in) +
-               kCpuSequential / ParallelCpuScale(in.left.size, in.degree);
+               kCpuSequential;
       },
       std::function<ThetaImplSig>(BandThetaJoin),
       "sort CD's heads once, emit the qualifying run per left BUN morsel");
@@ -429,7 +429,7 @@ void RegisterThetaJoinKernels(KernelRegistry& r) {
       },
       [](const DispatchInput& in) {
         return ThetaGatherPages(in) +
-               kCpuHashed / ParallelCpuScale(in.left.size, in.degree);
+               kCpuHashed;
       },
       std::function<ThetaImplSig>(NestedThetaJoin),
       "compare every BUN pair; the only shape serving '!='");

@@ -107,6 +107,7 @@ OperandView ViewAt(const AbstractBinding& b, double rows) {
   v.head_void = b.head == MonetType::kVoid;
   v.tail_void = b.tail == MonetType::kVoid;
   v.head_oidlike = Norm(b.head) == MonetType::kOidT;
+  v.tail_oidlike = Norm(b.tail) == MonetType::kOidT;
   v.props.hkey = b.head_key;
   return v;
 }

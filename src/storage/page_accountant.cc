@@ -1,5 +1,6 @@
 #include "storage/page_accountant.h"
 
+#include <algorithm>
 #include <atomic>
 
 namespace moaflat::storage {
@@ -39,12 +40,30 @@ void IoStats::TouchGather(uint64_t heap, const uint32_t* idx, size_t n,
   touches_ += n;
   const uint64_t w = static_cast<uint64_t>(width);
   if (kPageSize % w == 0) {
-    // Fixed widths divide the page size, so an element never straddles a
-    // page boundary: one page per index.
-    const uint64_t per_page = kPageSize / w;
+    // Fixed widths divide the page size (so they are powers of two): an
+    // element never straddles a page and its page is one shift away. The
+    // bitmap is resolved and sized for the largest index once; the loop is
+    // then one test-and-set per index, in index order.
+    int shift = 0;
+    while ((uint64_t{1} << shift) * w < kPageSize) ++shift;
+    PageBitmap& bm = BitmapOf(heap);
+    const uint32_t max_idx = *std::max_element(idx, idx + n);
+    const uint64_t max_word =
+        std::min<uint64_t>(uint64_t{max_idx} >> shift, kPageMask) >> 6;
+    if (max_word >= bm.words.size()) bm.words.resize(max_word + 1, 0);
+    uint64_t* words = bm.words.data();
+    uint64_t last_page = ~0ULL;
     for (size_t k = 0; k < n; ++k) {
-      TouchPageCold(heap, idx[k] / per_page, Access::kRandom);
+      const uint64_t page = (uint64_t{idx[k]} >> shift) & kPageMask;
+      if (page == last_page) continue;
+      last_page = page;
+      const uint64_t bit = 1ULL << (page & 63);
+      uint64_t& word = words[page >> 6];
+      if ((word & bit) != 0) continue;
+      word |= bit;
+      RecordFault(PageKey(heap, page), Access::kRandom);
     }
+    memo_key_ = PageKey(heap, last_page);
     return;
   }
   for (size_t k = 0; k < n; ++k) {
@@ -57,12 +76,31 @@ void IoStats::TouchGather(uint64_t heap, const uint32_t* idx, size_t n,
   }
 }
 
-void IoStats::TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc) {
+void IoStats::TouchGathers(std::span<const Gather> gathers, size_t n) {
+  if (capacity_ > 0) {
+    for (size_t k = 0; k < n; ++k) {
+      for (const Gather& g : gathers) {
+        TouchElement(g.heap, g.idx[k], g.width, Access::kRandom);
+      }
+    }
+    return;
+  }
+  for (const Gather& g : gathers) TouchGather(g.heap, g.idx, n, g.width);
+}
+
+IoStats::PageBitmap& IoStats::BitmapOf(uint64_t heap) {
+  for (size_t s = 0; s < kHeapCacheSlots; ++s) {
+    if (cache_heap_[s] == heap) return *cache_bitmap_[s];
+  }
   PageBitmap& bm = touched_[heap];
   cache_heap_[cache_next_] = heap;
   cache_bitmap_[cache_next_] = &bm;
   cache_next_ = (cache_next_ + 1) % kHeapCacheSlots;
-  if (bm.TestAndSet(page & kPageMask)) {
+  return bm;
+}
+
+void IoStats::TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc) {
+  if (BitmapOf(heap).TestAndSet(page & kPageMask)) {
     memo_key_ = PageKey(heap, page);
     return;
   }

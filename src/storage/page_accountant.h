@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -111,8 +112,27 @@ class IoStats {
   }
 
   /// Batch API for gather loops: equivalent to one random TouchElement per
-  /// index, in order, with the heap resolved once for the whole batch.
+  /// index, in order. Cold mode resolves the heap's bitmap once and runs
+  /// one test-and-set loop in index order, so faults, the seq/rand split,
+  /// logical touches and the fault-log order all equal the element loop.
   void TouchGather(uint64_t heap, const uint32_t* idx, size_t n, int width);
+
+  /// One heap read by a gather loop: element idx[k] of `width`-byte values.
+  struct Gather {
+    uint64_t heap = 0;
+    const uint32_t* idx = nullptr;
+    int width = 0;
+  };
+
+  /// Touches of a loop that reads, for each k in [0, n), element idx[k] of
+  /// every listed heap in turn. A cold pager charges a page on its first
+  /// touch whatever the interleaving, so cold mode runs one batched
+  /// TouchGather per heap (same faults, split and logical touches; the
+  /// fault log lists each heap's faults together). An LRU pool depends on
+  /// the interleaving, so capacity mode replays the true per-element
+  /// order. This is the one place that choice is made: kernels hand their
+  /// gather index arrays here instead of looping over TouchElement.
+  void TouchGathers(std::span<const Gather> gathers, size_t n);
 
   uint64_t faults() const { return faults_; }
   uint64_t sequential_faults() const { return seq_faults_; }
@@ -177,6 +197,9 @@ class IoStats {
   void AdmitCold(uint64_t heap, uint64_t page, Access acc);
   /// Cold-mode slow path of TouchPage: resolve the heap bitmap.
   void TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc);
+  /// The heap's touched-page bitmap via the small heap cache (created and
+  /// cached on first use).
+  PageBitmap& BitmapOf(uint64_t heap);
 
   /// Cold-mode touch of one page: one compare against the last-page memo,
   /// else one bit test in the heap's bitmap, resolved through a small

@@ -273,19 +273,21 @@ TEST(HashIndexTest, WorksOnStrings) {
   EXPECT_EQ(idx.FindFirst(*probe, 0), 0);
 }
 
-TEST(DatavectorTest, FindPositionIsTheOffsetInTheExtent) {
+TEST(DatavectorTest, MapPositionsIsTheOffsetInTheExtent) {
   auto extent = Column::MakeOid({10, 11, 12, 13});
   auto values = Column::MakeInt({1, 2, 3, 4});
   Datavector dv(extent, values);
-  EXPECT_EQ(dv.FindPosition(12), 2);
-  EXPECT_EQ(dv.FindPosition(10), 0);
-  EXPECT_EQ(dv.FindPosition(13), 3);
-  EXPECT_EQ(dv.FindPosition(9), -1);
-  EXPECT_EQ(dv.FindPosition(99), -1);
+  auto probes = Column::MakeOid({12, 10, 13, 9, 99});
+  std::vector<int64_t> got(probes->size(), -2);
+  dv.MapPositions(
+      *probes, 0, probes->size(),
+      [&](size_t i, uint32_t pos) { got[i] = pos; },
+      [&](size_t i) { got[i] = -1; });
+  EXPECT_EQ(got, (std::vector<int64_t>{2, 0, 3, -1, -1}));
 }
 
 TEST(DatavectorDeathTest, SparseExtentAborts) {
-  // FindPosition's offset arithmetic is only right on a dense extent, so a
+  // MapPositions' offset arithmetic is only right on a dense extent, so a
   // sparse one is refused at construction rather than probed wrongly.
 #ifdef GTEST_FLAG_SET
   GTEST_FLAG_SET(death_test_style, "threadsafe");

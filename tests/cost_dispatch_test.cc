@@ -122,6 +122,53 @@ TEST(CostDispatchTest, Q13SemijoinPredictedCheapestIsMeasuredCheapest) {
       << reg.Explain("semijoin", in).ToString();
 }
 
+TEST(CostDispatchTest, Q13JoinPredictedCheapestIsMeasuredCheapest) {
+  // Q13's `orderdates := join(orders, Order_orderdate)`: the returned
+  // items' order oids joined into the Order class attribute — the
+  // datavector join's shape (AB's tail oids index CD's VECTOR).
+  const auto orders_of = [](tpcd::TpcdInstance& inst) {
+    const ExecContext ctx;
+    Bat clerk_sel = Select(ctx, inst.db.Get("Order_clerk").ValueOrDie(),
+                           Value::Str(inst.probe_clerk))
+                        .ValueOrDie();
+    Bat items =
+        Join(ctx, inst.db.Get("Item_order").ValueOrDie(), clerk_sel)
+            .ValueOrDie();
+    Bat flags = Semijoin(ctx, inst.db.Get("Item_returnflag").ValueOrDie(),
+                         items)
+                    .ValueOrDie();
+    Bat sel = Select(ctx, flags, Value::Chr('R')).ValueOrDie();
+    return Semijoin(ctx, inst.db.Get("Item_order").ValueOrDie(), sel)
+        .ValueOrDie();
+  };
+
+  auto inst = FreshInstance();
+  Bat orders = orders_of(*inst);
+  ASSERT_GT(orders.size(), 0u);
+  const DispatchInput in =
+      MakeInput(orders, inst->db.Get("Order_orderdate").ValueOrDie());
+  auto& reg = KernelRegistry::Global();
+
+  std::map<std::string, uint64_t> measured;
+  for (const auto& v : *reg.VariantsOf("join")) {
+    if (!v.applicable(in)) continue;
+    auto fresh = FreshInstance();
+    Bat ab = orders_of(*fresh);
+    Bat cd = fresh->db.Get("Order_orderdate").ValueOrDie();
+    measured[v.name] = Measure<BinaryImplSig>(
+        v, "join", [&](const ExecContext& ctx, const auto& fn,
+                       OpRecorder& rec) { return fn(ctx, ab, cd, rec); });
+  }
+  ASSERT_TRUE(measured.count("datavector_join"));
+  ASSERT_TRUE(measured.count("hash_join"));
+
+  const KernelRegistry::Variant* chosen = reg.Choose("join", in);
+  ASSERT_NE(chosen, nullptr);
+  EXPECT_EQ(chosen->name, "datavector_join");
+  EXPECT_EQ(chosen->name, ArgminName(measured))
+      << reg.Explain("join", in).ToString();
+}
+
 TEST(CostDispatchTest, ExplainRendersFinitePageFaultCosts) {
   auto inst = FreshInstance();
   Bat shipdate = inst->db.Get("Item_shipdate").ValueOrDie();

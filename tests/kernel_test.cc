@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <any>
 #include <functional>
 #include <numeric>
 #include <random>
@@ -10,6 +11,7 @@
 #include "kernel/exec_context.h"
 #include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
+#include "kernel/registry.h"
 #include "kernel/scalar_fn.h"
 #include "storage/page_accountant.h"
 #include "force_fanout.h"
@@ -267,32 +269,46 @@ TEST(DatavectorTest, PositionalProbeAgreesWithBinarySearch) {
                              last, last + 1, last + 1000};
   std::mt19937_64 rng(7919);
   for (int k = 0; k < 20000; ++k) probes.push_back(rng() % (last + 64));
-  for (Oid o : probes) {
-    ASSERT_EQ(dv.FindPosition(o), RefPosition(extent, o)) << "oid " << o;
+  const auto mapped = [](const bat::Datavector& d, const Column& oids) {
+    std::vector<int64_t> out(oids.size(), -2);
+    d.MapPositions(
+        oids, 0, oids.size(), [&](size_t i, uint32_t pos) { out[i] = pos; },
+        [&](size_t i) { out[i] = -1; });
+    return out;
+  };
+  const std::vector<int64_t> got = mapped(dv, *Column::MakeOid(probes));
+  for (size_t k = 0; k < probes.size(); ++k) {
+    ASSERT_EQ(got[k], RefPosition(extent, probes[k])) << "oid " << probes[k];
   }
+  // A void probe column maps the same way.
+  const std::vector<int64_t> run =
+      mapped(dv, *Column::MakeVoid(last - 2, 5));
+  EXPECT_EQ(run, (std::vector<int64_t>{kN - 3, kN - 2, kN - 1, -1, -1}));
   bat::Datavector empty(Column::MakeOid({}), Column::MakeInt({}));
-  EXPECT_EQ(empty.FindPosition(kBase), -1);
+  EXPECT_EQ(mapped(empty, *Column::MakeOid({kBase})),
+            std::vector<int64_t>{-1});
 }
 
 TEST(DatavectorTest, DenseProbeTouchesOnlyTheCandidateSlot) {
-  // E_dv's "+1 extent lookup": a dense hit reads one extent page, and an
-  // oid outside the extent's span reads none.
-  bat::Datavector dv(DenseExtent(1000, 100000),
-                     Column::MakeInt(std::vector<int32_t>(100000, 0)));
-  storage::IoStats hit;
-  {
-    storage::IoScope scope(&hit);
-    EXPECT_EQ(dv.FindPosition(1000 + 54321), 54321);
-  }
-  EXPECT_EQ(hit.logical_touches(), 1u);
-  EXPECT_EQ(hit.faults(), 1u);
-  storage::IoStats miss;
-  {
-    storage::IoScope scope(&miss);
-    EXPECT_EQ(dv.FindPosition(999), -1);
-    EXPECT_EQ(dv.FindPosition(1000 + 100000), -1);
-  }
-  EXPECT_EQ(miss.logical_touches(), 0u);
+  // E_dv's "+1 extent lookup": a first-probe semijoin reads CD's head, one
+  // extent slot per hit (none for an oid outside the extent's span), then
+  // the hit's extent and vector slots.
+  const auto extent = DenseExtent(1000, 100000);
+  const auto values = Column::MakeInt(std::vector<int32_t>(100000, 0));
+  Bat attr(extent, values);
+  attr.SetDatavector(std::make_shared<bat::Datavector>(extent, values));
+  Bat cd(Column::MakeOid({999, 1000 + 54321, 1000 + 100000}),
+         Column::MakeVoid(0, 3));
+  storage::IoStats io;
+  ExecContext ctx;
+  ctx.WithIo(&io).WithParallelDegree(1);
+  Bat got = Semijoin(ctx, attr, cd).ValueOrDie();
+  ASSERT_EQ(Heads(got), std::vector<Oid>{1000 + 54321});
+  // head scan + probe slot + extent and vector slots of the hit
+  EXPECT_EQ(io.logical_touches(), 1u + 1u + 2u);
+  // CD's one page, the extent page holding the hit (probed, then fetched),
+  // the vector page holding it.
+  EXPECT_EQ(io.faults(), 3u);
 }
 
 /// A tail-sorted attribute BAT over `extent` whose value at extent position
@@ -431,6 +447,205 @@ TEST(DatavectorSyncTest, PartialHitIsNotSynced) {
     Bat ab = Join(ctx, ra.Mirror(), rb).ValueOrDie();
     EXPECT_NE(tracer.LastImplOf("join"), "fetch_join");
     EXPECT_EQ(ab.size(), sel.size() - 2);
+  }
+}
+
+// ------------------------------------------------------ datavector join
+
+/// Runs the registered join variant `name` directly, bypassing dispatch.
+Bat RunJoinVariant(const std::string& name, const ExecContext& ctx,
+                   const Bat& ab, const Bat& cd) {
+  for (const auto& v : *KernelRegistry::Global().VariantsOf("join")) {
+    if (v.name != name) continue;
+    OpRecorder rec(ctx, "join");
+    const auto* fn = std::any_cast<std::function<BinaryImplSig>>(&v.exec);
+    return (*fn)(ctx, ab, cd, rec).ValueOrDie();
+  }
+  ADD_FAILURE() << "no join variant " << name;
+  return Bat();
+}
+
+/// An attribute BAT over `extent` holding `by_oid[i]` for extent[i], its
+/// BUNs in shuffled order, with the datavector the loader would attach.
+Bat ShuffledDvAttr(const bat::ColumnPtr& extent, const bat::ColumnPtr& by_oid,
+                   uint64_t seed) {
+  const size_t n = extent->size();
+  std::vector<uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::shuffle(perm.begin(), perm.end(), std::mt19937_64(seed));
+  bat::ColumnScatter hs(*extent, n);
+  bat::ColumnScatter ts(*by_oid, n);
+  hs.Gather(perm.data(), n, 0);
+  ts.Gather(perm.data(), n, 0);
+  Bat attr(hs.Finish(), ts.Finish());
+  attr.SetDatavector(std::make_shared<bat::Datavector>(extent, by_oid));
+  return attr;
+}
+
+constexpr size_t kDvJoinRows = 100000;  // 4+ blocks at the morsel floor
+
+/// kDvJoinRows random (duplicate-prone) oids, each in the extent except
+/// where `miss(i)` holds: those alternate between below the base and past
+/// the end.
+std::vector<Oid> DvJoinOids(const std::function<bool(size_t)>& miss) {
+  std::mt19937_64 rng(4241);
+  std::vector<Oid> oids(kDvJoinRows);
+  for (size_t i = 0; i < oids.size(); ++i) {
+    if (miss(i)) {
+      oids[i] = i % 2 == 0 ? kDvBase - 1 - rng() % kDvBase
+                           : kDvBase + kDvExtent + rng() % 1000;
+    } else {
+      oids[i] = kDvBase + rng() % kDvExtent;
+    }
+  }
+  return oids;
+}
+
+/// AB for a join into a class attribute: shuffled heads, `tail` oids.
+Bat ForeignOids(std::vector<Oid> tail) {
+  std::vector<Oid> heads(tail.size());
+  std::iota(heads.begin(), heads.end(), Oid{7});
+  std::shuffle(heads.begin(), heads.end(), std::mt19937_64(99));
+  return Bat(Column::MakeOid(std::move(heads)),
+             Column::MakeOid(std::move(tail)));
+}
+
+/// The dv join must emit hash_join's exact BUN sequence at degrees 1 and
+/// 4, share AB's head column on a full hit and derive a fresh key on a
+/// partial one.
+void ExpectDvJoinMatchesHashJoin(const Bat& ab, const Bat& cd, bool full) {
+  ForceFanout fanout;
+  for (int degree : {1, 4}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithTracer(&tracer).WithParallelDegree(degree);
+    Bat got = Join(ctx, ab, cd).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("join"), "datavector_join");
+    Bat want = RunJoinVariant("hash_join", ctx, ab, cd);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got.head().GetValue(i), want.head().GetValue(i)) << i;
+      ASSERT_EQ(got.tail().GetValue(i), want.tail().GetValue(i)) << i;
+    }
+    EXPECT_TRUE(got.Validate().ok());
+    EXPECT_EQ(got.SyncedWith(ab), full);
+    EXPECT_EQ(got.head_col() == ab.head_col(), full);
+    if (!full) {
+      EXPECT_NE(got.head().sync_key(), ab.head().sync_key());
+    }
+  }
+}
+
+Bat IntDvAttr() {
+  std::vector<int32_t> by_oid(kDvExtent);
+  for (size_t i = 0; i < kDvExtent; ++i) by_oid[i] = ValueB(i);
+  return ShuffledDvAttr(DenseExtent(kDvBase, kDvExtent),
+                        Column::MakeInt(std::move(by_oid)), 5);
+}
+
+TEST(DatavectorJoinTest, FullHitSharesTheLeftHead) {
+  Bat ab = ForeignOids(DvJoinOids([](size_t) { return false; }));
+  ExpectDvJoinMatchesHashJoin(ab, IntDvAttr(), /*full=*/true);
+}
+
+TEST(DatavectorJoinTest, PartialHitGathersTheLeftHead) {
+  // Misses only in the second half, so full and partial blocks mix.
+  Bat ab = ForeignOids(DvJoinOids([](size_t i) {
+    return i >= kDvJoinRows / 2 && (i % 17 == 0 || i + 1 == kDvJoinRows);
+  }));
+  ExpectDvJoinMatchesHashJoin(ab, IntDvAttr(), /*full=*/false);
+}
+
+TEST(DatavectorJoinTest, EmptyLeftOperand) {
+  Bat ab(Column::MakeOid({}), Column::MakeOid({}));
+  ExpectDvJoinMatchesHashJoin(ab, IntDvAttr(), /*full=*/true);
+}
+
+TEST(DatavectorJoinTest, VoidLeftTail) {
+  std::vector<Oid> heads(kDvJoinRows);
+  std::iota(heads.begin(), heads.end(), Oid{3});
+  std::shuffle(heads.begin(), heads.end(), std::mt19937_64(8));
+  // Inside the extent, then running past its end.
+  Bat inside(Column::MakeOid(heads),
+             Column::MakeVoid(kDvBase + 17, kDvJoinRows));
+  ExpectDvJoinMatchesHashJoin(inside, IntDvAttr(), /*full=*/true);
+  Bat past(Column::MakeOid(heads),
+           Column::MakeVoid(kDvBase + kDvExtent - kDvJoinRows / 3,
+                            kDvJoinRows));
+  ExpectDvJoinMatchesHashJoin(past, IntDvAttr(), /*full=*/false);
+}
+
+TEST(DatavectorJoinTest, StrVector) {
+  std::vector<std::string> by_oid(kDvExtent);
+  for (size_t i = 0; i < kDvExtent; ++i) {
+    by_oid[i] = "s" + std::to_string((i * 7) % 331);
+  }
+  Bat cd = ShuffledDvAttr(DenseExtent(kDvBase, kDvExtent),
+                          Column::MakeStr(by_oid), 6);
+  Bat full = ForeignOids(DvJoinOids([](size_t) { return false; }));
+  ExpectDvJoinMatchesHashJoin(full, cd, /*full=*/true);
+  Bat partial =
+      ForeignOids(DvJoinOids([](size_t i) { return i % 5 == 0; }));
+  ExpectDvJoinMatchesHashJoin(partial, cd, /*full=*/false);
+}
+
+TEST(DatavectorJoinTest, ChargesWhatItReads) {
+  // AB's tail sequentially, VECTOR and A at the hit positions; never CD's
+  // columns or the extent.
+  Bat cd = IntDvAttr();
+  Bat ab = ForeignOids(DvJoinOids([](size_t i) { return i % 3 == 0; }));
+  storage::IoStats io;
+  ExecContext ctx;
+  ctx.WithIo(&io);
+  ASSERT_TRUE(Join(ctx, ab, cd).ok());
+
+  storage::IoStats ref;
+  {
+    storage::IoScope scope(&ref);
+    ab.tail().TouchAll();
+    for (size_t i = 0; i < ab.size(); ++i) {
+      const uint64_t pos = ab.tail().OidAt(i) - kDvBase;
+      if (pos >= kDvExtent) continue;
+      ab.head().TouchAt(i);
+      cd.datavector()->values()->TouchAt(pos);
+    }
+  }
+  EXPECT_EQ(io.faults(), ref.faults());
+  EXPECT_EQ(io.random_faults(), ref.random_faults());
+  EXPECT_EQ(io.sequential_faults(), ref.sequential_faults());
+  EXPECT_EQ(io.logical_touches(), ref.logical_touches());
+}
+
+TEST(DatavectorSemijoinLruTest, InsertionKeepsTheInterleavedOrder) {
+  // Under a capacity-limited pager the order of extent/vector touches
+  // decides the evictions: a cached-LOOKUP semijoin (insertion phase only)
+  // must fault exactly like the per-element extent, vector, extent, ...
+  // loop of the Section 5.2.1 pseudo-code.
+  const auto extent = DenseExtent(kDvBase, kDvExtent);
+  Bat attr = DvAttr(extent, ValueA, std::make_shared<bat::DvLookupCache>());
+  const std::vector<Oid> sel = ShuffledSelection();
+  Bat cd(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()));
+  ASSERT_TRUE(Semijoin(ExecContext(), attr, cd).ok());  // fills LOOKUP
+  auto lookup = attr.datavector()->CachedLookup(cd.head().heap_id());
+  ASSERT_NE(lookup, nullptr);
+  for (size_t capacity : {8, 64, 300}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    storage::IoStats io(capacity);
+    ExecContext ctx;
+    ctx.WithIo(&io).WithParallelDegree(1);  // shard replay approximates LRU
+    ASSERT_TRUE(Semijoin(ctx, attr, cd).ok());
+    storage::IoStats ref(capacity);
+    {
+      storage::IoScope scope(&ref);
+      for (uint32_t pos : *lookup) {
+        extent->TouchAt(pos);
+        attr.datavector()->values()->TouchAt(pos);
+      }
+    }
+    EXPECT_EQ(io.faults(), ref.faults());
+    EXPECT_EQ(io.evictions(), ref.evictions());
+    EXPECT_EQ(io.logical_touches(), ref.logical_touches());
   }
 }
 

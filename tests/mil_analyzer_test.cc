@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bat/bat.h"
 #include "kernel/exec_context.h"
+#include "kernel/exec_tracer.h"
 #include "mil/analyzer.h"
 #include "mil/interpreter.h"
 #include "mil/parser.h"
@@ -300,6 +302,7 @@ struct IntervalProbe {
   double lo = 0;
   double hi = 0;
   double measured = 0;
+  std::multiset<std::string> impls;  // chosen implementation per call
 };
 
 IntervalProbe ProbeInterval(const tpcd::TpcdInstance& inst,
@@ -314,12 +317,14 @@ IntervalProbe ProbeInterval(const tpcd::TpcdInstance& inst,
 
   MilEnv env = inst.db.env();
   storage::IoStats io;
+  kernel::ExecTracer tracer;
   kernel::ExecContext ctx;
-  ctx.WithIo(&io);
+  ctx.WithIo(&io).WithTracer(&tracer);
   MilInterpreter interp(&env, &ctx);
   Status run = interp.Run(program);
   EXPECT_TRUE(run.ok()) << run.ToString();
   p.measured = static_cast<double>(io.faults());
+  for (const kernel::TraceRecord& r : tracer.records) p.impls.insert(r.impl);
   return p;
 }
 
@@ -350,16 +355,20 @@ TEST(MilAnalyzerIntervalTest, AdmittedBoundCoversMeasuredFaults) {
   EXPECT_GE(q1.hi, q1.measured)
       << "Q1 hi bound " << q1.hi << " below measured " << q1.measured;
 
-  // The rewriter's own Q1 and Q6 plans: first-probe and cached datavector
-  // semijoins, sync semijoins and fetch_joins over INDEX — the statements
-  // the hand-written plans above never reach.
-  for (int q : {1, 6}) {
+  // The rewriter's own Q1, Q6 and Q10 plans: first-probe and cached
+  // datavector semijoins, sync semijoins, fetch_joins over INDEX and (Q10)
+  // datavector joins into class attributes — the statements the
+  // hand-written plans above never reach.
+  for (int q : {1, 6, 10}) {
     auto fresh = tpcd::MakeInstance(0.004).ValueOrDie();
     tpcd::QuerySuite suite(fresh);
     moa::Rewriter rewriter(&fresh->db);
     moa::Translation t =
         rewriter.TranslateText(suite.MoaText(q)).ValueOrDie();
     const IntervalProbe probe = ProbeInterval(*fresh, t.program);
+    if (q == 10) {
+      EXPECT_GT(probe.impls.count("datavector_join"), 0u);
+    }
     EXPECT_GT(probe.measured, 0.0) << "Q" << q;
     EXPECT_LE(probe.lo, probe.hi) << "Q" << q;
     EXPECT_GE(probe.hi, probe.measured)

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bat/bat.h"
+#include "bat/datavector.h"
 #include "common/rng.h"
 #include "common/task_pool.h"
 #include "kernel/exec_context.h"
@@ -150,6 +151,31 @@ TEST(ParallelDeterminismTest, HashJoin) {
     for (auto& v : payload) v = rng.NextDouble() * 1e4;
     Bat pk(Column::MakeInt(keys), Column::MakeDbl(payload));
     return kernel::Join(ctx, fk, pk).ValueOrDie();
+  });
+}
+
+TEST(ParallelDeterminismTest, DatavectorJoin) {
+  ExpectDegreeInvariant("join", "datavector_join", [](const ExecContext& ctx) {
+    // Foreign oids into a class extent with a datavector, a few of them
+    // dangling (a partial hit: A is gathered at the hit positions).
+    Rng rng(23);
+    const size_t extent_n = kRows / 2;
+    constexpr Oid kBase = 500;
+    std::vector<Oid> extent(extent_n);
+    std::iota(extent.begin(), extent.end(), kBase);
+    std::vector<double> by_oid(extent_n);
+    for (auto& v : by_oid) v = rng.NextDouble() * 1e4;
+    auto extent_col = Column::MakeOid(extent);
+    auto values = Column::MakeDbl(by_oid);
+    Bat cd(extent_col, values);
+    cd.SetDatavector(std::make_shared<bat::Datavector>(extent_col, values));
+    std::vector<Oid> fks(kRows);
+    for (auto& v : fks) {
+      v = rng.Chance(0.01) ? kBase + extent_n + rng.Uniform(0, 99)
+                           : kBase + rng.Uniform(0, extent_n - 1);
+    }
+    Bat ab(Column::MakeOid(DenseHeads(kRows)), Column::MakeOid(fks));
+    return kernel::Join(ctx, ab, cd).ValueOrDie();
   });
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <list>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -327,6 +328,52 @@ TEST(PageAccountantPropertyTest, ShardMergeReproducesSerialExactly) {
   EXPECT_EQ(merged.logical_touches(), serial.logical_touches());
 }
 
+/// Random gather indices clustered on a few hot pages (many repeats of one
+/// page, in and out of order) plus a spread tail.
+std::vector<uint32_t> ClusteredIndices(Rng& rng, size_t n, int width) {
+  const uint32_t per_page = static_cast<uint32_t>(kPageSize / width);
+  std::vector<uint32_t> idx(n);
+  for (auto& v : idx) {
+    v = rng.Chance(0.7)
+            ? static_cast<uint32_t>(rng.Uniform(0, 7)) * per_page +
+                  static_cast<uint32_t>(rng.Uniform(0, per_page - 1))
+            : static_cast<uint32_t>(rng.Uniform(0, 300 * per_page));
+  }
+  return idx;
+}
+
+void ExpectSameCounts(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.faults(), b.faults());
+  EXPECT_EQ(a.sequential_faults(), b.sequential_faults());
+  EXPECT_EQ(a.random_faults(), b.random_faults());
+  EXPECT_EQ(a.logical_touches(), b.logical_touches());
+  EXPECT_EQ(a.evictions(), b.evictions());
+}
+
+TEST(PageAccountantTest, TouchGathersOrdersOnlyWhereItMatters) {
+  // Three heaps read per element (a hash-join probe's c/a/d). Cold mode
+  // may batch per heap; an LRU pool must see the true interleaving.
+  Rng rng(31);
+  const uint64_t c = NewHeapId(), a = NewHeapId(), d = NewHeapId();
+  const std::vector<uint32_t> rights = ClusteredIndices(rng, 4000, 4);
+  const std::vector<uint32_t> lefts = ClusteredIndices(rng, 4000, 8);
+  const IoStats::Gather gathers[] = {
+      {c, rights.data(), 4}, {a, lefts.data(), 8}, {d, rights.data(), 2}};
+  for (size_t capacity : {0, 3, 16, 200}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    IoStats batched = capacity > 0 ? IoStats(capacity) : IoStats();
+    IoStats looped = capacity > 0 ? IoStats(capacity) : IoStats();
+    batched.TouchGathers(gathers, rights.size());
+    for (size_t k = 0; k < rights.size(); ++k) {
+      for (const IoStats::Gather& g : gathers) {
+        looped.TouchElement(g.heap, g.idx[k], g.width, Access::kRandom);
+      }
+    }
+    ExpectSameCounts(batched, looped);
+    EXPECT_EQ(batched.resident_pages(), looped.resident_pages());
+  }
+}
+
 TEST(PageAccountantTest, TouchGatherEqualsElementLoop) {
   const uint64_t h = NewHeapId();
   std::vector<uint32_t> idx{5, 5, 1000, 5, 99999, 1000, 0};
@@ -341,6 +388,41 @@ TEST(PageAccountantTest, TouchGatherEqualsElementLoop) {
   zero.TouchGather(h, idx.data(), idx.size(), 0);
   EXPECT_EQ(zero.faults(), 0u);
   EXPECT_EQ(zero.logical_touches(), 0u);
+
+  // Random indices with repeated pages at every page-dividing width, on
+  // cold and shard accountants, the shards merged into parents that
+  // already hold some of the pages.
+  Rng rng(2718);
+  for (int width : {1, 2, 4, 8}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const uint64_t heap = NewHeapId();
+    const uint64_t other = NewHeapId();
+    IoStats cold_batch, cold_loop;
+    IoStats parent_batch, parent_loop;
+    parent_batch.TouchRange(heap, 0, 3 * kPageSize / width, width);
+    parent_loop.TouchRange(heap, 0, 3 * kPageSize / width, width);
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<uint32_t> r = ClusteredIndices(rng, 5000, width);
+      IoStats shard_batch = IoStats::ForShard();
+      IoStats shard_loop = IoStats::ForShard();
+      cold_batch.TouchGather(heap, r.data(), r.size(), width);
+      shard_batch.TouchGather(heap, r.data(), r.size(), width);
+      for (uint32_t i : r) {
+        cold_loop.TouchElement(heap, i, width, Access::kRandom);
+        shard_loop.TouchElement(heap, i, width, Access::kRandom);
+      }
+      // A touch of another heap between batches must not confuse the
+      // bitmap resolution.
+      for (IoStats* io : {&cold_batch, &cold_loop, &shard_batch, &shard_loop}) {
+        io->TouchElement(other, round, width, Access::kRandom);
+      }
+      ExpectSameCounts(cold_batch, cold_loop);
+      ExpectSameCounts(shard_batch, shard_loop);
+      parent_batch.MergeFrom(shard_batch);
+      parent_loop.MergeFrom(shard_loop);
+      ExpectSameCounts(parent_batch, parent_loop);
+    }
+  }
 }
 
 TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
