@@ -23,6 +23,9 @@ using bat::Bat;
 using bat::Column;
 using bat::ColumnPtr;
 
+/// Timing only: no tracer, no page accountant.
+const kernel::ExecContext kCtx;
+
 struct Fixture {
   std::vector<Bat> attrs_dv;    // tail-sorted, datavector attached
   std::vector<Bat> attrs_nodv;  // tail-sorted, no accelerator
@@ -41,7 +44,7 @@ struct Fixture {
       ColumnPtr values = Column::MakeInt(vals);
       Bat oid_ordered(extent, values,
                       bat::Properties{true, false, true, false});
-      Bat sorted = kernel::SortTail(oid_ordered).ValueOrDie();
+      Bat sorted = kernel::SortTail(kCtx, oid_ordered).ValueOrDie();
       Bat sorted_dv = sorted;
       sorted_dv.SetDatavector(
           std::make_shared<bat::Datavector>(extent, values));
@@ -60,7 +63,7 @@ struct Fixture {
 void BM_HashSemijoin(benchmark::State& state) {
   Fixture f(1 << 18, 0.01, 1);
   for (auto _ : state) {
-    auto out = kernel::Semijoin(f.attrs_nodv[0], f.selection);
+    auto out = kernel::Semijoin(kCtx, f.attrs_nodv[0], f.selection);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -83,7 +86,7 @@ void BM_DatavectorSemijoin_ColdLookup(benchmark::State& state) {
               }()),
               Column::MakeVoid(0, f.selection.size()), f.selection.props());
     state.ResumeTiming();
-    auto out = kernel::Semijoin(f.attrs_dv[0], fresh);
+    auto out = kernel::Semijoin(kCtx, f.attrs_dv[0], fresh);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -98,7 +101,7 @@ void BM_RepeatedSemijoins(benchmark::State& state, bool use_dv) {
   auto& attrs = use_dv ? f.attrs_dv : f.attrs_nodv;
   for (auto _ : state) {
     for (int a = 0; a < p; ++a) {
-      auto out = kernel::Semijoin(attrs[a], f.selection);
+      auto out = kernel::Semijoin(kCtx, attrs[a], f.selection);
       benchmark::DoNotOptimize(out);
     }
   }
@@ -124,7 +127,7 @@ void BM_SyncSemijoin(benchmark::State& state) {
   Bat a(head, Column::MakeInt(std::vector<int32_t>(1 << 18, 7)));
   Bat b(head, Column::MakeInt(std::vector<int32_t>(1 << 18, 9)));
   for (auto _ : state) {
-    auto out = kernel::Semijoin(a, b);
+    auto out = kernel::Semijoin(kCtx, a, b);
     benchmark::DoNotOptimize(out);
   }
 }

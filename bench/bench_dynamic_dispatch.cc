@@ -18,6 +18,9 @@ using namespace moaflat;  // NOLINT
 using bat::Bat;
 using bat::Column;
 
+/// Timing only: no tracer, no page accountant.
+const kernel::ExecContext kCtx;
+
 Bat MakeAttr(size_t n, bool tail_sorted, uint64_t seed) {
   Rng rng(seed);
   std::vector<int32_t> vals(n);
@@ -29,13 +32,14 @@ Bat MakeAttr(size_t n, bool tail_sorted, uint64_t seed) {
   Bat b(Column::MakeOid(oids), Column::MakeInt(vals),
         bat::Properties{true, false, true, false});
   if (!tail_sorted) return b;
-  return kernel::SortTail(b).ValueOrDie();
+  return kernel::SortTail(kCtx, b).ValueOrDie();
 }
 
 void BM_Select_BinarySearch(benchmark::State& state) {
   Bat attr = MakeAttr(1 << 20, true, 1);
   for (auto _ : state) {
-    auto out = kernel::SelectRange(attr, Value::Int(1000), Value::Int(9000));
+    auto out =
+        kernel::SelectRange(kCtx, attr, Value::Int(1000), Value::Int(9000));
     benchmark::DoNotOptimize(out);
   }
 }
@@ -44,7 +48,8 @@ BENCHMARK(BM_Select_BinarySearch);
 void BM_Select_Scan(benchmark::State& state) {
   Bat attr = MakeAttr(1 << 20, false, 1);
   for (auto _ : state) {
-    auto out = kernel::SelectRange(attr, Value::Int(1000), Value::Int(9000));
+    auto out =
+        kernel::SelectRange(kCtx, attr, Value::Int(1000), Value::Int(9000));
     benchmark::DoNotOptimize(out);
   }
 }
@@ -60,7 +65,7 @@ void BM_Join_Merge(benchmark::State& state) {
   Bat right(Column::MakeOid(keys), Column::MakeVoid(100, n),
             bat::Properties{true, true, true, true});
   for (auto _ : state) {
-    auto out = kernel::Join(left, right);
+    auto out = kernel::Join(kCtx, left, right);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -76,7 +81,7 @@ void BM_Join_Hash(benchmark::State& state) {
   Bat right(Column::MakeOid(keys), Column::MakeVoid(100, n),
             bat::Properties{true, true, false, true});
   for (auto _ : state) {
-    auto out = kernel::Join(left, right);
+    auto out = kernel::Join(kCtx, left, right);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -90,7 +95,7 @@ void BM_Multiplex_Synced(benchmark::State& state) {
   Bat a(head, Column::MakeDbl(std::vector<double>(n, 2.0)));
   Bat b(head, Column::MakeDbl(std::vector<double>(n, 0.1)));
   for (auto _ : state) {
-    auto out = kernel::Multiplex("*", {a, b});
+    auto out = kernel::Multiplex(kCtx, "*", {a, b});
     benchmark::DoNotOptimize(out);
   }
 }
@@ -103,7 +108,7 @@ void BM_Multiplex_HeadJoin(benchmark::State& state) {
   Bat a(Column::MakeOid(oids), Column::MakeDbl(std::vector<double>(n, 2.0)));
   Bat b(Column::MakeOid(oids), Column::MakeDbl(std::vector<double>(n, 0.1)));
   for (auto _ : state) {
-    auto out = kernel::Multiplex("*", {a, b});
+    auto out = kernel::Multiplex(kCtx, "*", {a, b});
     benchmark::DoNotOptimize(out);
   }
 }

@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
     double base_sec;
     tpcd::EngineRun base;
     {
-      storage::IoScope scope(&base_io);
       const auto t0 = std::chrono::steady_clock::now();
-      auto r = suite.RunBaseline(q);
+      auto r = suite.RunBaseline(q, kernel::ExecContext().WithIo(&base_io));
       base_sec = Seconds(t0);
       if (!r.ok()) {
         std::printf("Q%-3d baseline failed: %s\n", q,
@@ -98,9 +97,8 @@ int main(int argc, char** argv) {
     const uint64_t mem_before = mem.current();
     mem.MarkEpoch();
     {
-      storage::IoScope scope(&monet_io);
       const auto t0 = std::chrono::steady_clock::now();
-      auto r = suite.RunMonet(q);
+      auto r = suite.RunMonet(q, kernel::ExecContext().WithIo(&monet_io));
       monet_sec = Seconds(t0);
       if (!r.ok()) {
         std::printf("Q%-3d monet failed: %s\n", q,

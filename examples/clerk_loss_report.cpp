@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   std::printf("MOA query (Section 4.1 of the paper):\n%s\n\n", q13.c_str());
 
-  auto qr = moa::RunMoa(inst->db, q13).ValueOrDie();
+  auto qr = moa::RunMoa(kernel::ExecContext(), inst->db, q13).ValueOrDie();
 
   std::printf("Flattened MIL program:\n%s\n",
               qr.translation.program.ToString().c_str());

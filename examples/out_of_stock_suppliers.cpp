@@ -21,7 +21,7 @@ int main() {
       "select[=(%available, 0)](%supplies) : out_of_stock>](Supplier)";
   std::printf("MOA query (Section 4.3.2):\n%s\n\n", query);
 
-  auto qr = moa::RunMoa(inst->db, query).ValueOrDie();
+  auto qr = moa::RunMoa(kernel::ExecContext(), inst->db, query).ValueOrDie();
   std::printf("Flattened MIL:\n%s\n",
               qr.translation.program.ToString().c_str());
 

@@ -286,31 +286,28 @@ class Column {
   /// True if all values are distinct (hash-based check).
   bool ComputeKey() const;
 
-  // --- IO accounting (no-ops when no IoScope is active) ---------------
+  // --- IO accounting (no-ops when `io` is null: not accounted) ---------
 
   /// Reports a random touch of element i.
-  void TouchAt(size_t i) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
+  void TouchAt(storage::IoStats* io, size_t i) const {
+    if (io != nullptr) {
       io->TouchElement(heap_id_, i, width(), storage::Access::kRandom);
     }
   }
 
   /// Reports a sequential touch of elements [lo, hi).
-  void TouchRange(size_t lo, size_t hi) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
-      io->TouchRange(heap_id_, lo, hi, width());
-    }
+  void TouchRange(storage::IoStats* io, size_t lo, size_t hi) const {
+    if (io != nullptr) io->TouchRange(heap_id_, lo, hi, width());
   }
 
   /// Reports a sequential touch of the whole column.
-  void TouchAll() const { TouchRange(0, size_); }
+  void TouchAll(storage::IoStats* io) const { TouchRange(io, 0, size_); }
 
   /// Reports one random touch per gathered element — the batch equivalent
   /// of a TouchAt loop, with the accountant's heap lookup hoisted out.
-  void TouchGather(const uint32_t* idx, size_t n) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
-      io->TouchGather(heap_id_, idx, n, width());
-    }
+  void TouchGather(storage::IoStats* io, const uint32_t* idx,
+                   size_t n) const {
+    if (io != nullptr) io->TouchGather(heap_id_, idx, n, width());
   }
 
   /// One column read by a gather loop: element idx[k] of `col`.
@@ -322,9 +319,9 @@ class Column {
   /// Reports the touches of a loop that reads, for each k in [0, n),
   /// element idx[k] of every listed column in turn (at most four) — see
   /// storage::IoStats::TouchGathers for how the accountant orders them.
-  static void TouchGathers(std::initializer_list<GatherSource> sources,
+  static void TouchGathers(storage::IoStats* io,
+                           std::initializer_list<GatherSource> sources,
                            size_t n) {
-    storage::IoStats* io = storage::CurrentIo();
     if (io == nullptr || n == 0) return;
     std::array<storage::IoStats::Gather, 4> g;
     assert(sources.size() <= g.size());

@@ -129,6 +129,8 @@ FaultInjector* FaultInjector::FromEnv() {
 }
 
 namespace {
+// Allocation sites sit below the ExecContext layer and cannot be handed
+// one; OpRecorder arms them per call.  lint:allow(thread-local-state)
 thread_local FaultInjector* t_current_injector = nullptr;
 }  // namespace
 

@@ -14,6 +14,7 @@ namespace {
 // under an injected bad_alloc), and legal chains are short — the full
 // documented order is eight ranks deep.
 constexpr int kMaxHeld = 64;
+// Lock ownership is per thread by definition.  lint:allow(thread-local-state)
 thread_local const Mutex* g_held[kMaxHeld];
 thread_local int g_held_n = 0;
 

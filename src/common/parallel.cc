@@ -8,7 +8,6 @@
 
 #include "common/fault_injector.h"
 #include "common/task_pool.h"
-#include "storage/page_accountant.h"
 
 namespace moaflat {
 namespace {
@@ -54,17 +53,25 @@ void SetParallelDegree(int degree) {
 
 namespace {
 
-/// 0 = auto (hardware concurrency, resolved per call — it is one cheap
-/// library call and tests flip the override around it).
+/// 0 = auto (the hardware thread count); tests flip the override around
+/// kernels that must fan out on small boxes.
 std::atomic<int> g_block_cap{0};
+
+/// The hardware thread count, read once: the library call costs
+/// microseconds and PlanBlocks runs per kernel phase.
+int HardwareThreads() {
+  static const int hw = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n > 0 ? static_cast<int>(n) : 1;
+  }();
+  return hw;
+}
 
 }  // namespace
 
 int ParallelBlockCap() {
   const int cap = g_block_cap.load(std::memory_order_relaxed);
-  if (cap > 0) return cap;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return cap > 0 ? cap : HardwareThreads();
 }
 
 void SetParallelBlockCap(int cap) {
@@ -111,12 +118,6 @@ size_t RunBlocks(const BlockPlan& plan,
         // so the partially evaluated shards are never materialized.
         if (plan.cancel != nullptr && plan.cancel->ShouldStop()) return;
         if (injector != nullptr) injector->MaybeStall(b);
-        // No implicit accounting inside parallel blocks: the caller thread
-        // would otherwise attribute its blocks' touches to the context
-        // while worker-run blocks attribute nothing, making fault counts
-        // depend on scheduling. Kernels install explicit per-block shard
-        // accountants.
-        storage::IoScope mute(nullptr);
         fn(static_cast<int>(b), plan.Begin(b), plan.End(b));
       },
       SchedTag{plan.sched_group, plan.sched_weight,

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "bat/bat.h"
 #include "kernel/exec_context.h"
@@ -110,6 +111,39 @@ class TransientCharge {
  private:
   const ExecContext& ctx_;
   uint64_t bytes_ = 0;
+};
+
+/// The page accountants of one parallel phase: the one place the shard
+/// rule lives. A one-block plan charges the caller's accountant directly,
+/// so an LRU pager sees the phase's true touch sequence. A fan-out gives
+/// every block its own ForShard accountant (a block may run on any
+/// thread, so none may touch the shared one), and Merge() replays them
+/// into the caller's in block order: the serial run's exact cold-run
+/// faults at any degree. A context without an accountant charges nothing.
+class ShardIo {
+ public:
+  ShardIo(const ExecContext& ctx, const BlockPlan& plan) : io_(ctx.io()) {
+    if (io_ != nullptr && plan.blocks > 1) shards_.resize(plan.blocks);
+  }
+
+  /// The accountant block `block` charges its touches to (may be null).
+  storage::IoStats* For(int block) {
+    return shards_.empty() ? io_ : &shards_[block].io;
+  }
+
+  /// Replays the block shards into the caller's accountant in block order;
+  /// call once, on the planning thread, after the phase's RunBlocks.
+  void Merge() {
+    for (const Slot& s : shards_) io_->MergeFrom(s.io);
+    shards_.clear();
+  }
+
+ private:
+  struct alignas(64) Slot {
+    storage::IoStats io = storage::IoStats::ForShard();
+  };
+  storage::IoStats* io_;
+  std::vector<Slot> shards_;
 };
 
 /// Deterministic combination of sync keys: operators derive the sync key of

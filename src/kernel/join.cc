@@ -63,10 +63,10 @@ Result<Bat> FinishJoin(const Bat& ab, const Bat& cd, ColumnPtr out_head,
 /// exactly [A, D]; both columns are shared, no data moves.
 Result<Bat> FetchJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
                       OpRecorder& rec) {
-  // zero-copy: nothing is materialized, nothing to charge
-  (void)ctx;  // lint:allow(uncharged-kernel)
-  ab.head().TouchAll();
-  cd.tail().TouchAll();
+  // Zero-copy: nothing is materialized, so nothing is charged to the
+  // budget; the result's two shared columns are what it reads.
+  ab.head().TouchAll(ctx.io());
+  cd.tail().TouchAll(ctx.io());
   bat::Properties props;
   props.hsorted = ab.props().hsorted;
   props.hkey = ab.props().hkey;
@@ -85,8 +85,9 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& d = cd.tail();
   JoinOut out(a, d);
   ChargeGate gate(ctx, a, d);
-  b.TouchAll();
-  c.TouchAll();
+  storage::IoStats* io = ctx.io();
+  b.TouchAll(io);
+  c.TouchAll(io);
   size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
   while (i < n && j < m) {
@@ -99,8 +100,8 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
       // Emit the full run of equal keys on the right for this left BUN.
       size_t j2 = j;
       while (j2 < m && c.EqualAt(j2, c, j)) {
-        a.TouchAt(i);
-        d.TouchAt(j2);
+        a.TouchAt(io, i);
+        d.TouchAt(io, j2);
         out.heads.AppendFrom(a, i);
         out.tails.AppendFrom(d, j2);
         MF_RETURN_NOT_OK(gate.Add(1));
@@ -119,7 +120,7 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 /// Hash join, morsel-parallel in both phases. The build side's hash
 /// accelerator is built partitioned at the context degree; probe morsels
 /// collect matching (left, right) positions into cache-line-aligned
-/// per-block shards (with shard-local IoStats and charge gates). The
+/// per-block shards (with ShardIo accountants and charge gates). The
 /// shards' counts are prefix-summed and every block then scatters its
 /// matches straight into the pre-sized result heaps, concurrently — the
 /// emitted BUN sequence and the merged fault counts stay identical to a
@@ -131,22 +132,19 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& c = cd.head();
   const Column& d = cd.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  b.TouchAll();
+  b.TouchAll(ctx.io());
 
   struct alignas(64) Shard {
     std::vector<uint32_t> lefts;   // matching left positions
     std::vector<uint32_t> rights;  // their right partners, in match order
-    storage::IoStats io = storage::IoStats::ForShard();
     Status status = Status::OK();
   };
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<Shard> shards(plan.blocks);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    // A serial plan touches the caller's accountant directly, so an LRU
-    // pager sees the probe's true c/a/d interleaving.
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = shard_io.For(block);
     // The charge counter is shared and atomic, so concurrent shard gates
     // account exactly and an over-budget join stops all blocks early.
     // The gate is fed per match (so a high-fanout probe cannot overshoot
@@ -170,7 +168,8 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
       });
       // Each match reads c and d at its right position, a at its left.
       const uint32_t* rights = mine.rights.data() + first;
-      Column::TouchGathers({{&c, rights},
+      Column::TouchGathers(io,
+                           {{&c, rights},
                             {&a, mine.lefts.data() + first},
                             {&d, rights}},
                            mine.lefts.size() - first);
@@ -178,9 +177,7 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
     if (mine.status.ok()) mine.status = gate.Add(pending);
     if (mine.status.ok()) mine.status = gate.Flush();
   });
-  if (plan.blocks > 1 && ctx.io() != nullptr) {
-    for (Shard& s : shards) ctx.io()->MergeFrom(s.io);
-  }
+  shard_io.Merge();
   for (Shard& s : shards) {
     MF_RETURN_NOT_OK(s.status);
   }
@@ -225,7 +222,7 @@ Result<Bat> DatavectorJoin(const ExecContext& ctx, const Bat& ab,
   const Column& vector = *dv->values();
   const Column& a = ab.head();
   const Column& b = ab.tail();
-  b.TouchAll();
+  b.TouchAll(ctx.io());
 
   // Probe phase: a block records its left positions only from its first
   // miss on — the lefts of a block where every row hit are begin..end.
@@ -233,7 +230,6 @@ Result<Bat> DatavectorJoin(const ExecContext& ctx, const Bat& ab,
     std::vector<uint32_t> rights;  // VECTOR positions of the hits
     std::vector<uint32_t> lefts;   // their left positions, once `missed`
     bool missed = false;
-    storage::IoStats io = storage::IoStats::ForShard();
   };
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<Shard> shards(plan.blocks);
@@ -271,20 +267,18 @@ Result<Bat> DatavectorJoin(const ExecContext& ctx, const Bat& ab,
                       : internal::ChargeRowBytes(a, vector))));
   internal::TransientCharge staging(ctx);
   MF_RETURN_NOT_OK(staging.Add(hits * (full ? 1 : 2) * sizeof(uint32_t)));
-  if (full) a.TouchAll();
+  if (full) a.TouchAll(ctx.io());
 
   std::optional<bat::ColumnScatter> hs;
   if (!full) hs.emplace(a, hits);
   bat::ColumnScatter ts(vector, hits);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    // A serial plan touches the caller's accountant directly, so an LRU
-    // pager sees the fetch loop's true a/vector interleaving.
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = shard_io.For(block);
     const size_t m = mine.rights.size();
     if (full) {
-      vector.TouchGather(mine.rights.data(), m);
+      vector.TouchGather(io, mine.rights.data(), m);
     } else {
       if (!mine.missed) {
         mine.lefts.resize(end - begin);
@@ -292,14 +286,12 @@ Result<Bat> DatavectorJoin(const ExecContext& ctx, const Bat& ab,
                   static_cast<uint32_t>(begin));
       }
       Column::TouchGathers(
-          {{&a, mine.lefts.data()}, {&vector, mine.rights.data()}}, m);
+          io, {{&a, mine.lefts.data()}, {&vector, mine.rights.data()}}, m);
       hs->Gather(mine.lefts.data(), m, offset[block]);
     }
     ts.Gather(mine.rights.data(), m, offset[block]);
   });
-  if (plan.blocks > 1 && ctx.io() != nullptr) {
-    for (const Shard& s : shards) ctx.io()->MergeFrom(s.io);
-  }
+  shard_io.Merge();
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
 
   Result<Bat> res = full ? Bat::Make(ab.head_col(), ts.Finish(),

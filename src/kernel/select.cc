@@ -25,16 +25,16 @@ using internal::NumValue;
 using internal::SetSync;
 
 /// First position i in the (tail-sorted) column with col[i] >= v
-/// (or > v when `after_equal`). Binary search; probes are counted unless
-/// `touch` is false (the selectivity *estimate* must not perturb the fault
+/// (or > v when `after_equal`). Binary search; probes are charged to `io`
+/// (the selectivity *estimate* passes null: it must not perturb the fault
 /// accounting of the execution it prices).
-size_t LowerPos(const Column& col, const Value& v, bool after_equal,
-                bool touch = true) {
+size_t LowerPos(storage::IoStats* io, const Column& col, const Value& v,
+                bool after_equal) {
   size_t lo = 0;
   size_t hi = col.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (touch) col.TouchAt(mid);
+    col.TouchAt(io, mid);
     const int c = col.CompareValue(mid, v);
     const bool go_right = after_equal ? (c <= 0) : (c < 0);
     if (go_right) {
@@ -83,8 +83,8 @@ struct alignas(64) MatchShard {
 /// selection: exclusive prefix sum over the per-block match counts, one
 /// memory charge, then every block gathers head and tail values directly
 /// into its disjoint slice of the pre-sized result heaps, concurrently.
-/// Head touches are accounted per match under per-block shard IoStats and
-/// merged in block order — the exact serial touch sequence.
+/// Head touches are accounted per match through ShardIo — the exact serial
+/// touch sequence.
 Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
     const ExecContext& ctx, const Column& head, const Column& tail,
     const BlockPlan& plan, std::vector<MatchShard>& matches) {
@@ -105,31 +105,14 @@ Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
 
   ColumnScatter hs(head, total);
   ColumnScatter ts(tail, total);
-  if (plan.blocks <= 1) {
-    // Serial: touch under the caller's accountant directly. A
-    // capacity-limited (LRU) pager must see the true touch sequence —
-    // shard replay only carries first-touch faults and would deflate
-    // the re-fault counts of evicted pages.
-    const std::vector<uint32_t>& idx = matches[0].idx;
-    head.TouchGather(idx.data(), idx.size());
-    hs.Gather(idx.data(), idx.size(), 0);
-    ts.Gather(idx.data(), idx.size(), 0);
-    return std::make_pair(hs.Finish(), ts.Finish());
-  }
-  struct alignas(64) IoShard {
-    storage::IoStats io = storage::IoStats::ForShard();
-  };
-  std::vector<IoShard> shards(plan.blocks);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t, size_t) {
     const std::vector<uint32_t>& idx = matches[block].idx;
-    storage::IoScope scope(&shards[block].io);
-    head.TouchGather(idx.data(), idx.size());
+    head.TouchGather(shard_io.For(block), idx.data(), idx.size());
     hs.Gather(idx.data(), idx.size(), offset[block]);
     ts.Gather(idx.data(), idx.size(), offset[block]);
   });
-  for (IoShard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
+  shard_io.Merge();
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
   return std::make_pair(hs.Finish(), ts.Finish());
 }
@@ -218,12 +201,12 @@ Result<Bat> BinsearchSelect(const ExecContext& ctx, const Bat& ab,
   const Column& tail = ab.tail();
   size_t begin = 0;
   size_t end = tail.size();
-  if (lo.present) begin = LowerPos(tail, lo.value, !lo.inclusive);
-  if (hi.present) end = LowerPos(tail, hi.value, hi.inclusive);
+  if (lo.present) begin = LowerPos(ctx.io(), tail, lo.value, !lo.inclusive);
+  if (hi.present) end = LowerPos(ctx.io(), tail, hi.value, hi.inclusive);
   if (begin > end) begin = end;
   MF_RETURN_NOT_OK(ChargeGather(ctx, end - begin, head, tail));
-  head.TouchRange(begin, end);
-  tail.TouchRange(begin, end);
+  head.TouchRange(ctx.io(), begin, end);
+  tail.TouchRange(ctx.io(), begin, end);
 
   // Detect result-head sortedness (dynamic property detection): bulk
   // loads sort stably, so the heads inside one tail run are typically
@@ -251,7 +234,7 @@ Result<Bat> ScanSelect(const ExecContext& ctx, const Bat& ab, const Bound& lo,
                        const Bound& hi, OpRecorder& rec) {
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(tail.size());
   std::vector<MatchShard> matches(plan.blocks);
   ScanMatches(tail, lo, hi, plan, matches);
@@ -292,7 +275,7 @@ Result<Bat> PredicateSelect(const ExecContext& ctx, const Bat& ab,
   OpRecorder rec(ctx, "select");
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(tail.size());
   std::vector<MatchShard> matches(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
@@ -332,8 +315,8 @@ double EstimateSelectivity(const Bat& ab, const Bound& lo, const Bound& hi) {
   const Column& tail = ab.tail();
   size_t begin = 0;
   size_t end = tail.size();
-  if (lo.present) begin = LowerPos(tail, lo.value, !lo.inclusive, false);
-  if (hi.present) end = LowerPos(tail, hi.value, hi.inclusive, false);
+  if (lo.present) begin = LowerPos(nullptr, tail, lo.value, !lo.inclusive);
+  if (hi.present) end = LowerPos(nullptr, tail, hi.value, hi.inclusive);
   if (begin > end) begin = end;
   return static_cast<double>(end - begin) / static_cast<double>(tail.size());
 }

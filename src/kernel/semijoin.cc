@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -59,30 +58,28 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     // independent, so they run as morsels on the TaskPool; block shards
     // concatenate in block order, reproducing the serial LOOKUP array
     // (and, via the shard merge, its exact probe faults).
-    cd.head().TouchAll();
+    cd.head().TouchAll(ctx.io());
     const BlockPlan plan = ctx.Plan(cd.size());
-    struct Shard {
+    struct alignas(64) Shard {
       std::vector<uint32_t> positions;
-      storage::IoStats io = storage::IoStats::ForShard();
     };
     std::vector<Shard> shards(plan.blocks);
+    internal::ShardIo shard_io(ctx, plan);
     RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-      Shard& mine = shards[block];
-      storage::IoScope scope(&mine.io);
+      std::vector<uint32_t>& mine = shards[block].positions;
       dv->MapPositions(
           cd.head(), begin, end,
-          [&](size_t, uint32_t pos) { mine.positions.push_back(pos); },
-          [](size_t) {});
+          [&](size_t, uint32_t pos) { mine.push_back(pos); }, [](size_t) {});
       // One extent slot per hit, in probe order: E_dv's extent lookup.
-      extent.TouchGather(mine.positions.data(), mine.positions.size());
+      extent.TouchGather(shard_io.For(block), mine.data(), mine.size());
     });
+    shard_io.Merge();
     // An interrupted probe phase leaves partial shards: bail *before*
     // caching, so the accelerator's LOOKUP memo is never half-built.
     MF_RETURN_NOT_OK(ctx.CheckInterrupt());
     auto positions = std::make_shared<std::vector<uint32_t>>();
     positions->reserve(cd.size());
-    for (Shard& s : shards) {
-      if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
+    for (const Shard& s : shards) {
       positions->insert(positions->end(), s.positions.begin(),
                         s.positions.end());
     }
@@ -101,18 +98,15 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
   bat::ColumnScatter ts(vector, hits);
   const uint32_t* pos_data = lookup->data();
   struct alignas(64) InsertShard {
-    storage::IoStats io = storage::IoStats::ForShard();
     bool ascending = true;
   };
   std::vector<InsertShard> ishards(iplan.blocks);
+  internal::ShardIo shard_io(ctx, iplan);
   RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
     InsertShard& mine = ishards[block];
-    // A serial plan touches the caller's accountant directly, so an LRU
-    // pager sees the fetch loop's true extent/vector interleaving.
-    std::optional<storage::IoScope> scope;
-    if (iplan.blocks > 1) scope.emplace(&mine.io);
     const uint32_t* idx = pos_data + begin;
-    Column::TouchGathers({{&extent, idx}, {&vector, idx}}, end - begin);
+    Column::TouchGathers(shard_io.For(block),
+                         {{&extent, idx}, {&vector, idx}}, end - begin);
     hs.Gather(idx, end - begin, begin);
     ts.Gather(idx, end - begin, begin);
     // Blocks overlap by one element, so block-local ascending runs chain
@@ -120,11 +114,9 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     const size_t from = begin > 0 ? begin - 1 : begin;
     mine.ascending = std::is_sorted(pos_data + from, pos_data + end);
   });
+  shard_io.Merge();
   bool ascending = true;
-  for (const InsertShard& s : ishards) {
-    if (iplan.blocks > 1 && ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-    ascending = ascending && s.ascending;
-  }
+  for (const InsertShard& s : ishards) ascending = ascending && s.ascending;
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
 
   ColumnPtr out_head = hs.Finish();
@@ -177,8 +169,9 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
   ColumnBuilder hb(BuilderType(a));
   ColumnBuilder tb(BuilderType(b), b.str_heap());
   internal::ChargeGate gate(ctx, a, b);
-  a.TouchAll();
-  c.TouchAll();
+  storage::IoStats* io = ctx.io();
+  a.TouchAll(io);
+  c.TouchAll(io);
   size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
   while (i < n && j < m) {
@@ -188,7 +181,7 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
     } else if (cmp > 0) {
       ++j;
     } else {
-      b.TouchAt(i);
+      b.TouchAt(io, i);
       hb.AppendFrom(a, i);
       tb.AppendFrom(b, i);
       MF_RETURN_NOT_OK(gate.Add(1));
@@ -204,7 +197,7 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
 
 /// Hash semijoin, morsel-parallel in both phases: probe morsels record
 /// matching left positions into cache-line-aligned per-block shards
-/// (shard-local IoStats and charge gates, merged serially in block order),
+/// (ShardIo accountants and charge gates, merged serially in block order),
 /// then the prefix-summed blocks scatter their matches straight into the
 /// pre-sized result heaps concurrently — results and fault totals are
 /// identical to the serial probe at any degree.
@@ -213,18 +206,18 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& a = ab.head();
   const Column& b = ab.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  a.TouchAll();
+  a.TouchAll(ctx.io());
 
   struct alignas(64) Shard {
     std::vector<uint32_t> matches;
-    storage::IoStats io = storage::IoStats::ForShard();
     Status status = Status::OK();
   };
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<Shard> shards(plan.blocks);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    storage::IoScope scope(&mine.io);
+    storage::IoStats* io = shard_io.For(block);
     internal::ChargeGate gate(ctx, a, b);
     size_t gated = 0;
     constexpr size_t kProbeChunk = 16 * 1024;
@@ -232,7 +225,7 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash->ForEachContained(a, lo, hi, [&](size_t i) {
-        b.TouchAt(i);
+        b.TouchAt(io, i);
         mine.matches.push_back(static_cast<uint32_t>(i));
       });
       mine.status = gate.Add(mine.matches.size() - gated);
@@ -240,9 +233,7 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
     }
     if (mine.status.ok()) mine.status = gate.Flush();
   });
-  for (Shard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
+  shard_io.Merge();
   for (Shard& s : shards) {
     MF_RETURN_NOT_OK(s.status);
   }
@@ -278,13 +269,12 @@ namespace {
 /// Per-block anti-probe state shared by the kdiff/kunion miss phases.
 struct alignas(64) MissShard {
   std::vector<uint32_t> misses;
-  storage::IoStats io = storage::IoStats::ForShard();
   Status status = Status::OK();
 };
 
 /// Morsel-parallel anti-probe: for every probe row in [0, probe.size())
 /// with no match in `hash`, records the position into a per-block shard
-/// (typed bulk ForEachMissing, shard-local IoStats, `touch` reported per
+/// (typed bulk ForEachMissing, ShardIo accountants, `touch` reported per
 /// miss) and charges `gate_bytes_per_row` against the budget. Shards merge
 /// in block order, reproducing the serial probe's misses and fault
 /// sequence exactly.
@@ -292,13 +282,10 @@ Result<std::vector<MissShard>> ParallelMisses(
     const ExecContext& ctx, const bat::HashIndex& hash, const Column& probe,
     const Column& touch, uint64_t gate_bytes_per_row, const BlockPlan& plan) {
   std::vector<MissShard> shards(plan.blocks);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     MissShard& mine = shards[block];
-    // Serial plans touch the caller's accountant directly: a capacity-
-    // limited (LRU) pager needs the true touch sequence, and shard
-    // replay only carries first-touch faults (see select.cc).
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = shard_io.For(block);
     internal::ChargeGate gate(ctx, gate_bytes_per_row);
     constexpr size_t kProbeChunk = 16 * 1024;
     size_t gated = 0;
@@ -306,7 +293,7 @@ Result<std::vector<MissShard>> ParallelMisses(
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash.ForEachMissing(probe, lo, hi, [&](size_t i) {
-        touch.TouchAt(i);
+        touch.TouchAt(io, i);
         mine.misses.push_back(static_cast<uint32_t>(i));
       });
       mine.status = gate.Add(mine.misses.size() - gated);
@@ -314,9 +301,7 @@ Result<std::vector<MissShard>> ParallelMisses(
     }
     if (mine.status.ok()) mine.status = gate.Flush();
   });
-  for (MissShard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
+  shard_io.Merge();
   for (MissShard& s : shards) {
     MF_RETURN_NOT_OK(s.status);
   }
@@ -334,7 +319,7 @@ Result<Bat> HashAntiSemijoin(const ExecContext& ctx, const Bat& ab,
   const Column& a = ab.head();
   const Column& b = ab.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  a.TouchAll();
+  a.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(ab.size());
   MF_ASSIGN_OR_RETURN(
       std::vector<MissShard> shards,
@@ -381,8 +366,8 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& b = ab.tail();
   ColumnBuilder hb(BuilderType(a));
   ColumnBuilder tb(BuilderType(b), b.str_heap());
-  a.TouchAll();
-  b.TouchAll();
+  a.TouchAll(ctx.io());
+  b.TouchAll(ctx.io());
   hb.Reserve(ab.size());
   tb.Reserve(ab.size());
   hb.AppendRange(a, 0, ab.size());
@@ -390,7 +375,7 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   auto hash = ab.EnsureHeadHash(ctx.parallel_degree());
   const Column& c = cd.head();
   const Column& d = cd.tail();
-  c.TouchAll();
+  c.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(cd.size());
   // The result rows were charged upfront (the ab.size()+cd.size() upper
   // bound above), so the miss gate adds nothing more.

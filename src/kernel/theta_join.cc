@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -88,21 +87,15 @@ Result<Bat> FinishThetaJoin(const Bat& ab, const Bat& cd, CmpOp op,
 struct alignas(64) ThetaShard {
   std::vector<uint32_t> lefts;   // matching left positions, i ascending
   std::vector<uint32_t> rights;  // their right partners, in match order
-  storage::IoStats io = storage::IoStats::ForShard();
   Status status = Status::OK();
 };
 
 /// Shared tail of both variants: per-block match lists -> prefix sum ->
-/// concurrent scatter into the pre-sized result heaps, with the shard
-/// IoStats merged in block order (reproducing the serial touch sequence
-/// under cold-run accounting).
+/// concurrent scatter into the pre-sized result heaps.
 Result<Bat> MaterializeThetaMatches(const ExecContext& ctx, const Bat& ab,
                                     const Bat& cd, CmpOp op,
                                     const BlockPlan& plan,
                                     std::vector<ThetaShard>& shards) {
-  for (ThetaShard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
   for (ThetaShard& s : shards) {
     MF_RETURN_NOT_OK(s.status);
   }
@@ -153,23 +146,20 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
                        });
     }
   }
-  b.TouchAll();
-  c.TouchAll();
+  b.TouchAll(ctx.io());
+  c.TouchAll(ctx.io());
 
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<ThetaShard> shards(plan.blocks);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     ThetaShard& mine = shards[block];
-    // Serial plans touch the caller's accountant directly: a capacity-
-    // limited (LRU) pager needs the true touch sequence, and shard
-    // replay only carries first-touch faults (see select.cc).
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = shard_io.For(block);
     internal::ChargeGate gate(ctx, a, d);
     auto emit = [&](size_t i, size_t j) {
       const uint32_t pos = order[j];
-      a.TouchAt(i);
-      d.TouchAt(pos);
+      a.TouchAt(io, i);
+      d.TouchAt(io, pos);
       mine.lefts.push_back(static_cast<uint32_t>(i));
       mine.rights.push_back(pos);
       mine.status = gate.Add(1);
@@ -252,6 +242,7 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
     }
     if (mine.status.ok()) mine.status = gate.Flush();
   });
+  shard_io.Merge();
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
 
   MF_ASSIGN_OR_RETURN(Bat res,
@@ -270,20 +261,20 @@ Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
   const Column& b = ab.tail();
   const Column& c = cd.head();
   const Column& d = cd.tail();
-  b.TouchAll();
-  c.TouchAll();
+  b.TouchAll(ctx.io());
+  c.TouchAll(ctx.io());
   const size_t m = cd.size();
 
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<ThetaShard> shards(plan.blocks);
+  internal::ShardIo shard_io(ctx, plan);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     ThetaShard& mine = shards[block];
-    std::optional<storage::IoScope> scope;  // serial: caller's accountant
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = shard_io.For(block);
     internal::ChargeGate gate(ctx, a, d);
     auto emit = [&](size_t i, size_t j) {
-      a.TouchAt(i);
-      d.TouchAt(j);
+      a.TouchAt(io, i);
+      d.TouchAt(io, j);
       mine.lefts.push_back(static_cast<uint32_t>(i));
       mine.rights.push_back(static_cast<uint32_t>(j));
       mine.status = gate.Add(1);
@@ -311,6 +302,7 @@ Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
     }
     if (mine.status.ok()) mine.status = gate.Flush();
   });
+  shard_io.Merge();
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
 
   MF_ASSIGN_OR_RETURN(Bat res,
@@ -356,7 +348,7 @@ Result<Bat> Fetch(const ExecContext& ctx, const Bat& ab,
   const Column& head = ab.head();
   const Column& tail = ab.tail();
   MF_RETURN_NOT_OK(internal::ChargeGather(ctx, positions.size(), head, tail));
-  positions.tail().TouchAll();
+  positions.tail().TouchAll(ctx.io());
   // Validate and collect first, then one bulk typed gather per column.
   std::vector<uint32_t> pos(positions.size());
   for (size_t i = 0; i < positions.size(); ++i) {
@@ -368,8 +360,8 @@ Result<Bat> Fetch(const ExecContext& ctx, const Bat& ab,
     }
     pos[i] = static_cast<uint32_t>(p);
   }
-  head.TouchGather(pos.data(), pos.size());
-  tail.TouchGather(pos.data(), pos.size());
+  head.TouchGather(ctx.io(), pos.data(), pos.size());
+  tail.TouchGather(ctx.io(), pos.data(), pos.size());
   ColumnBuilder hb(MonetType::kOidT);
   ColumnBuilder tb(BuilderType(tail), tail.str_heap());
   hb.Reserve(pos.size());

@@ -59,8 +59,8 @@ struct StmtTrace {
 /// Execution state flows through an ExecContext: every statement runs under
 /// a copy of the session context whose tracer is swapped for a per-statement
 /// one (the raw material of the Fig. 10 trace); the records are forwarded to
-/// the session tracer afterwards. Without an explicit context the
-/// interpreter snapshots the legacy thread-local scopes per statement.
+/// the session tracer afterwards. A null context means a default
+/// ExecContext: nothing traced beyond the statement, no page accounting.
 class MilInterpreter {
  public:
   explicit MilInterpreter(MilEnv* env,

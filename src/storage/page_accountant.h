@@ -36,7 +36,7 @@ enum class Access { kSequential, kRandom };
 /// The paper measures real virtual-memory page faults of cold memory-mapped
 /// BATs on a 128 MB SPARCstation. We reproduce the measurement by modelling
 /// each heap as a cold memory-mapped file of 4 KB pages: the first touch of
-/// any page in the lifetime of an IoStats scope is a fault, later touches
+/// any page in the lifetime of an IoStats is a fault, later touches
 /// are hits. This is precisely the assumption under which the Section
 /// 5.2.2 formulas E_rel / E_dv are derived.
 ///
@@ -73,8 +73,10 @@ class IoStats {
 
   /// Accountant for one block of a parallel kernel phase: unlimited
   /// capacity (blocks start cold, so the fault set *is* the touched page
-  /// set) and an ordered fault log that MergeFrom replays. Install it via
-  /// IoScope inside the block, then merge the shards in block order.
+  /// set) and an ordered fault log that MergeFrom replays. Hand it to the
+  /// block's touches, then merge the shards in block order. A shard never
+  /// draws injected IO faults: the owning accountant draws once per fault
+  /// it merges, so the draws do not depend on which thread ran a block.
   static IoStats ForShard() {
     IoStats s;
     s.log_faults_ = true;
@@ -229,12 +231,15 @@ class IoStats {
     } else {
       ++rand_faults_;
     }
-    if (log_faults_) fault_log_.emplace_back(key, acc);
     memo_key_ = key;
-    // Simulated IO errors fire per *fault* (not per touch), on the thread
-    // that owns this accountant — serial kernels directly, parallel ones
-    // at the block-ordered shard merge, keeping the decision sequence
-    // deterministic for a given seed.
+    // Simulated IO errors fire per *fault* (not per touch), on the owning
+    // accountant only — serial kernels directly, parallel ones at the
+    // block-ordered shard merge — keeping the decision sequence
+    // deterministic for a given seed at any degree. Shards only log.
+    if (log_faults_) {
+      fault_log_.emplace_back(key, acc);
+      return;
+    }
     if (FaultInjector* fi = CurrentFaultInjector();
         fi != nullptr && !has_error_.load(std::memory_order_relaxed) &&
         fi->Fire(FaultInjector::Site::kIo)) {
@@ -278,25 +283,6 @@ class IoStats {
   // exchange, never on the Status itself.
   std::atomic<bool> has_error_{false};
   Status error_;
-};
-
-/// The IoStats currently collecting for this thread, or nullptr when IO
-/// accounting is off (the common case for unit tests of pure logic).
-IoStats* CurrentIo();
-
-/// RAII scope that installs an IoStats as the thread's collector. Scopes
-/// nest; the innermost wins. Kernel operators call CurrentIo() on their hot
-/// paths, so accounting costs one thread-local load when disabled.
-class IoScope {
- public:
-  explicit IoScope(IoStats* stats);
-  ~IoScope();
-
-  IoScope(const IoScope&) = delete;
-  IoScope& operator=(const IoScope&) = delete;
-
- private:
-  IoStats* previous_;
 };
 
 }  // namespace moaflat::storage

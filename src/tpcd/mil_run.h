@@ -31,10 +31,10 @@ class MilRun {
     return var;
   }
 
-  /// The context statements run under (a thread-local snapshot when the
-  /// run was built without one).
+  /// The context statements run under (a default, unaccounted context
+  /// when the run was built without one).
   kernel::ExecContext context() const {
-    return ctx_ != nullptr ? *ctx_ : kernel::ExecContext::FromThreadLocals();
+    return ctx_ != nullptr ? *ctx_ : kernel::ExecContext{};
   }
 
   Result<bat::Bat> GetBat(const std::string& var) const {

@@ -312,27 +312,25 @@ TEST(DatavectorTest, LookupCacheRoundTrip) {
 
 TEST(PageAccountingTest, ColdTouchesFaultOncePerPage) {
   storage::IoStats io;
-  storage::IoScope scope(&io);
   ColumnPtr c = Column::MakeInt(std::vector<int32_t>(4096, 7));  // 16 KB
-  c->TouchAll();
+  c->TouchAll(&io);
   EXPECT_EQ(io.faults(), 4u);  // 16KB / 4KB pages
-  c->TouchAll();               // warm now
+  c->TouchAll(&io);            // warm now
   EXPECT_EQ(io.faults(), 4u);
   io.Reset();
-  c->TouchAt(0);
+  c->TouchAt(&io, 0);
   EXPECT_EQ(io.faults(), 1u);
 }
 
 TEST(PageAccountingTest, VoidColumnsCostNoIo) {
   storage::IoStats io;
-  storage::IoScope scope(&io);
-  Column::MakeVoid(0, 1 << 20)->TouchAll();
+  Column::MakeVoid(0, 1 << 20)->TouchAll(&io);
   EXPECT_EQ(io.faults(), 0u);
 }
 
-TEST(PageAccountingTest, NoScopeMeansNoAccounting) {
+TEST(PageAccountingTest, NullAccountantMeansNoAccounting) {
   ColumnPtr c = Column::MakeInt({1, 2, 3});
-  c->TouchAll();  // must not crash without an IoScope
+  c->TouchAll(nullptr);  // must not crash without an accountant
   SUCCEED();
 }
 

@@ -15,6 +15,7 @@
 
 #include "bat/bat.h"
 #include "common/fault_injector.h"
+#include "force_fanout.h"
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
 #include "mil/interpreter.h"
@@ -110,6 +111,41 @@ TEST(FaultInjectionTest, InjectedIoErrorSurfacesAndClears) {
   io.Reset();
   auto again = kernel::Select(ctx, ab, Value::Int(7));
   EXPECT_TRUE(again.ok()) << again.status().ToString();
+}
+
+TEST(FaultInjectionTest, IoDrawsAreOnePerFaultAtAnyDegree) {
+  // Only the owning accountant draws kIo events, once per fault it takes
+  // directly or merges from a block shard; shards never draw. So a seed
+  // makes the same IO decisions at any degree, whichever thread ran a
+  // block (the caller runs blocks too).
+  ForceFanout fanout;
+  const size_t n = 200000;
+  std::vector<int32_t> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<int32_t>(i * 7919 % n);
+  }
+  std::vector<int32_t> probe(keys.rbegin(), keys.rend());
+  Bat ab(Column::MakeVoid(0, n), Column::MakeInt(probe));
+  Bat cd(Column::MakeInt(keys), Column::MakeVoid(0, n));
+  const auto run = [&](int degree, uint64_t* faults) {
+    FaultInjector fi(/*seed=*/3, /*rate=*/0.0);
+    storage::IoStats io;
+    kernel::ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithIo(&io).WithTracer(&tracer).WithFaultInjector(&fi);
+    ctx.WithParallelDegree(degree);
+    EXPECT_TRUE(kernel::Join(ctx, ab, cd).ok());
+    EXPECT_EQ(tracer.LastImplOf("join"), "hash_join");
+    *faults = io.faults();
+    return fi.calls(FaultInjector::Site::kIo);
+  };
+  uint64_t faults1 = 0, faults4 = 0;
+  const uint64_t draws1 = run(1, &faults1);
+  const uint64_t draws4 = run(4, &faults4);
+  EXPECT_GT(faults1, 0u);
+  EXPECT_EQ(faults4, faults1);
+  EXPECT_EQ(draws1, faults1);
+  EXPECT_EQ(draws4, draws1);
 }
 
 TEST(FaultInjectionTest, InjectedAllocFailureUnwindsAtStatementBoundary) {

@@ -18,6 +18,9 @@
 namespace moaflat {
 namespace {
 
+/// Default execution context: no tracer, no page accountant.
+const kernel::ExecContext kCtx;
+
 TEST(Fig10ConsistencyTest, HandWrittenMilMatchesRewriterOutput) {
   auto inst = tpcd::MakeInstance(0.004).ValueOrDie();
   const std::string clerk = inst->probe_clerk;
@@ -67,7 +70,7 @@ TEST(Fig10ConsistencyTest, HandWrittenMilMatchesRewriterOutput) {
       "*(extendedprice, -(1.0, discount)) : revenue>]("
       "select[=(order.clerk, \"" + clerk + "\"), =(returnflag, 'R')]"
       "(Item))))";
-  auto qr = moa::RunMoa(inst->db, moa_text).ValueOrDie();
+  auto qr = moa::RunMoa(kCtx, inst->db, moa_text).ValueOrDie();
   moa::ResultView view(&qr.env);
   const moa::StructExpr& root = *qr.translation.result;
   auto year_f = view.Field(*root.elem, "year").ValueOrDie();

@@ -13,13 +13,16 @@ using bat::Bat;
 using bat::Column;
 using bat::Properties;
 
+/// Default execution context: no tracer, no page accountant.
+const ExecContext kCtx;
+
 Bat SortedKeyedBat() {
   return Bat(Column::MakeOid({1, 2, 3}), Column::MakeInt({10, 20, 30}),
              Properties{true, true, true, true});
 }
 
 TEST(InsertTest, AppendsValues) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(4)},
+  Bat out = InsertBuns(kCtx, SortedKeyedBat(), {Value::MakeOid(4)},
                        {Value::Int(40)})
                 .ValueOrDie();
   ASSERT_EQ(out.size(), 4u);
@@ -28,7 +31,7 @@ TEST(InsertTest, AppendsValues) {
 }
 
 TEST(InsertTest, OrderPreservingInsertKeepsSortedness) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(4)},
+  Bat out = InsertBuns(kCtx, SortedKeyedBat(), {Value::MakeOid(4)},
                        {Value::Int(35)})
                 .ValueOrDie();
   EXPECT_TRUE(out.props().hsorted);
@@ -37,7 +40,7 @@ TEST(InsertTest, OrderPreservingInsertKeepsSortedness) {
 }
 
 TEST(InsertTest, OutOfOrderInsertSwitchesSortednessOff) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(9)},
+  Bat out = InsertBuns(kCtx, SortedKeyedBat(), {Value::MakeOid(9)},
                        {Value::Int(5)})
                 .ValueOrDie();
   EXPECT_TRUE(out.props().hsorted);   // 9 continues the head order
@@ -46,7 +49,7 @@ TEST(InsertTest, OutOfOrderInsertSwitchesSortednessOff) {
 }
 
 TEST(InsertTest, DuplicateHeadSwitchesKeyOff) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(2)},
+  Bat out = InsertBuns(kCtx, SortedKeyedBat(), {Value::MakeOid(2)},
                        {Value::Int(99)})
                 .ValueOrDie();
   EXPECT_FALSE(out.props().hkey);
@@ -55,7 +58,7 @@ TEST(InsertTest, DuplicateHeadSwitchesKeyOff) {
 }
 
 TEST(InsertTest, DuplicateWithinInsertedRunDetected) {
-  Bat out = InsertBuns(SortedKeyedBat(),
+  Bat out = InsertBuns(kCtx, SortedKeyedBat(),
                        {Value::MakeOid(7), Value::MakeOid(7)},
                        {Value::Int(70), Value::Int(80)})
                 .ValueOrDie();
@@ -65,7 +68,7 @@ TEST(InsertTest, DuplicateWithinInsertedRunDetected) {
 
 TEST(InsertTest, OriginalBatUntouched) {
   Bat original = SortedKeyedBat();
-  Bat out = InsertBuns(original, {Value::MakeOid(4)}, {Value::Int(1)})
+  Bat out = InsertBuns(kCtx, original, {Value::MakeOid(4)}, {Value::Int(1)})
                 .ValueOrDie();
   EXPECT_EQ(original.size(), 3u);
   EXPECT_EQ(out.size(), 4u);
@@ -74,13 +77,13 @@ TEST(InsertTest, OriginalBatUntouched) {
 
 TEST(InsertTest, MismatchedCountsRejected) {
   EXPECT_FALSE(
-      InsertBuns(SortedKeyedBat(), {Value::MakeOid(4)}, {}).ok());
+      InsertBuns(kCtx, SortedKeyedBat(), {Value::MakeOid(4)}, {}).ok());
 }
 
 TEST(InsertTest, WorksOnStringTails) {
   Bat names(Column::MakeOid({1, 2}), Column::MakeStr({"ann", "bob"}),
             Properties{true, true, true, true});
-  Bat out = InsertBuns(names, {Value::MakeOid(3)}, {Value::Str("ann")})
+  Bat out = InsertBuns(kCtx, names, {Value::MakeOid(3)}, {Value::Str("ann")})
                 .ValueOrDie();
   EXPECT_FALSE(out.props().tkey);    // duplicate string detected
   EXPECT_FALSE(out.props().tsorted); // "ann" < "bob"
@@ -88,7 +91,7 @@ TEST(InsertTest, WorksOnStringTails) {
 }
 
 TEST(InsertTest, EmptyInsertIsIdentityOnProperties) {
-  Bat out = InsertBuns(SortedKeyedBat(), {}, {}).ValueOrDie();
+  Bat out = InsertBuns(kCtx, SortedKeyedBat(), {}, {}).ValueOrDie();
   EXPECT_EQ(out.size(), 3u);
   EXPECT_TRUE(out.props().hkey);
   EXPECT_TRUE(out.props().tsorted);

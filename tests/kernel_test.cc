@@ -23,6 +23,9 @@ using bat::Bat;
 using bat::Column;
 using bat::Properties;
 
+/// Default execution context: no tracer, no page accountant.
+const ExecContext kCtx;
+
 Bat AttrBat(std::vector<Oid> heads, std::vector<int32_t> tails,
             Properties props = Properties{}) {
   return Bat(Column::MakeOid(std::move(heads)),
@@ -47,7 +50,7 @@ std::vector<int32_t> IntTails(const Bat& b) {
 
 TEST(SelectTest, PointSelectScan) {
   Bat ab = AttrBat({1, 2, 3, 4}, {7, 5, 7, 9});
-  Bat out = Select(ab, Value::Int(7)).ValueOrDie();
+  Bat out = Select(kCtx, ab, Value::Int(7)).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
   EXPECT_TRUE(out.props().tsorted);  // all tail values equal
 }
@@ -56,8 +59,8 @@ TEST(SelectTest, PointSelectBinarySearchOnSorted) {
   Bat ab = AttrBat({4, 2, 1, 3}, {1, 5, 7, 7}, Properties{false, false,
                                                           false, true});
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Select(ab, Value::Int(7)).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Select(ctx, ab, Value::Int(7)).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
   EXPECT_EQ(tracer.LastImplOf("select"), "binsearch_select");
 }
@@ -66,43 +69,43 @@ TEST(SelectTest, RangeSelectInclusiveBothEnds) {
   Bat ab = AttrBat({1, 2, 3, 4, 5}, {10, 20, 30, 40, 50},
                    Properties{true, false, false, true});
   Bat out =
-      SelectRange(ab, Value::Int(20), Value::Int(40)).ValueOrDie();
+      SelectRange(kCtx, ab, Value::Int(20), Value::Int(40)).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 3, 4}));
 }
 
 TEST(SelectTest, OpenEndedRange) {
   Bat ab = AttrBat({1, 2, 3}, {10, 20, 30});
-  Bat lo = SelectRange(ab, Value::Int(20), Value()).ValueOrDie();
+  Bat lo = SelectRange(kCtx, ab, Value::Int(20), Value()).ValueOrDie();
   EXPECT_EQ(Heads(lo), (std::vector<Oid>{2, 3}));
-  Bat hi = SelectRange(ab, Value(), Value::Int(20)).ValueOrDie();
+  Bat hi = SelectRange(kCtx, ab, Value(), Value::Int(20)).ValueOrDie();
   EXPECT_EQ(Heads(hi), (std::vector<Oid>{1, 2}));
 }
 
 TEST(SelectTest, CmpVariants) {
   Bat ab = AttrBat({1, 2, 3, 4}, {1, 2, 3, 4});
-  EXPECT_EQ(Heads(SelectCmp(ab, CmpOp::kLt, Value::Int(3)).ValueOrDie()),
+  EXPECT_EQ(Heads(SelectCmp(kCtx, ab, CmpOp::kLt, Value::Int(3)).ValueOrDie()),
             (std::vector<Oid>{1, 2}));
-  EXPECT_EQ(Heads(SelectCmp(ab, CmpOp::kLe, Value::Int(3)).ValueOrDie()),
+  EXPECT_EQ(Heads(SelectCmp(kCtx, ab, CmpOp::kLe, Value::Int(3)).ValueOrDie()),
             (std::vector<Oid>{1, 2, 3}));
-  EXPECT_EQ(Heads(SelectCmp(ab, CmpOp::kGt, Value::Int(3)).ValueOrDie()),
+  EXPECT_EQ(Heads(SelectCmp(kCtx, ab, CmpOp::kGt, Value::Int(3)).ValueOrDie()),
             (std::vector<Oid>{4}));
-  EXPECT_EQ(Heads(SelectCmp(ab, CmpOp::kGe, Value::Int(3)).ValueOrDie()),
+  EXPECT_EQ(Heads(SelectCmp(kCtx, ab, CmpOp::kGe, Value::Int(3)).ValueOrDie()),
             (std::vector<Oid>{3, 4}));
-  EXPECT_EQ(Heads(SelectCmp(ab, CmpOp::kNe, Value::Int(3)).ValueOrDie()),
+  EXPECT_EQ(Heads(SelectCmp(kCtx, ab, CmpOp::kNe, Value::Int(3)).ValueOrDie()),
             (std::vector<Oid>{1, 2, 4}));
 }
 
 TEST(SelectTest, SelectOnStrings) {
   Bat ab(Column::MakeOid({1, 2, 3}),
          Column::MakeStr({"alpha", "beta", "alpha"}));
-  Bat out = Select(ab, Value::Str("alpha")).ValueOrDie();
+  Bat out = Select(kCtx, ab, Value::Str("alpha")).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
 }
 
 TEST(SelectTest, SelectLikePattern) {
   Bat ab(Column::MakeOid({1, 2, 3}),
          Column::MakeStr({"PROMO BRASS", "SMALL STEEL", "LARGE BRASS"}));
-  Bat out = SelectLike(ab, "%BRASS").ValueOrDie();
+  Bat out = SelectLike(kCtx, ab, "%BRASS").ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
 }
 
@@ -111,7 +114,7 @@ TEST(SelectTest, SelectOnDates) {
          Column::MakeDate({Date::FromYmd(1994, 1, 1),
                            Date::FromYmd(1994, 6, 1),
                            Date::FromYmd(1995, 1, 1)}));
-  Bat out = SelectRange(ab, Value::MakeDate(Date::FromYmd(1994, 1, 1)),
+  Bat out = SelectRange(kCtx, ab, Value::MakeDate(Date::FromYmd(1994, 1, 1)),
                         Value::MakeDate(Date::FromYmd(1994, 12, 31)))
                 .ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 2}));
@@ -119,7 +122,7 @@ TEST(SelectTest, SelectOnDates) {
 
 TEST(SelectTest, EmptyResult) {
   Bat ab = AttrBat({1, 2}, {5, 6});
-  Bat out = Select(ab, Value::Int(99)).ValueOrDie();
+  Bat out = Select(kCtx, ab, Value::Int(99)).ValueOrDie();
   EXPECT_EQ(out.size(), 0u);
 }
 
@@ -132,7 +135,7 @@ TEST(JoinTest, HashJoinProjectsOutJoinColumns) {
   // int tails join with oid-typed... use oid-oid: rebuild.
   Bat ab2(Column::MakeOid({100, 101, 102}), Column::MakeOid({7, 8, 7}));
   Bat cd2(Column::MakeOid({7, 9}), Column::MakeInt({55, 66}));
-  Bat out = Join(ab2, cd2).ValueOrDie();
+  Bat out = Join(kCtx, ab2, cd2).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{100, 102}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{55, 55}));
 }
@@ -143,8 +146,8 @@ TEST(JoinTest, MergeJoinChosenWhenSorted) {
   Bat cd(Column::MakeOid({10, 20, 40}), Column::MakeInt({1, 2, 4}),
          Properties{true, true, true, true});
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Join(ab, cd).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Join(ctx, ab, cd).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("join"), "merge_join");
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 2}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{1, 2}));
@@ -155,7 +158,7 @@ TEST(JoinTest, MergeJoinHandlesDuplicateKeysBothSides) {
          Properties{false, false, false, true});
   Bat cd(Column::MakeOid({10, 10}), Column::MakeInt({5, 6}),
          Properties{false, false, true, false});
-  Bat out = Join(ab, cd).ValueOrDie();
+  Bat out = Join(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(out.size(), 4u);  // full cross product of the key run
 }
 
@@ -163,8 +166,8 @@ TEST(JoinTest, PositionalFetchJoinOnVoidAlignment) {
   Bat ab(Column::MakeOid({5, 6, 7}), Column::MakeVoid(0, 3));
   Bat cd(Column::MakeVoid(0, 3), Column::MakeInt({11, 12, 13}));
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Join(ab, cd).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Join(ctx, ab, cd).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("join"), "fetch_join");
   EXPECT_EQ(Heads(out), (std::vector<Oid>{5, 6, 7}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{11, 12, 13}));
@@ -173,7 +176,7 @@ TEST(JoinTest, PositionalFetchJoinOnVoidAlignment) {
 TEST(JoinTest, JoinIsClosedInBinaryModel) {
   Bat ab(Column::MakeOid({1}), Column::MakeOid({2}));
   Bat cd(Column::MakeOid({2}), Column::MakeStr({"x"}));
-  Bat out = Join(ab, cd).ValueOrDie();
+  Bat out = Join(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(out.head().type(), MonetType::kOidT);
   EXPECT_EQ(out.tail().type(), MonetType::kStr);
   EXPECT_EQ(out.tail().Str(0), "x");
@@ -184,7 +187,7 @@ TEST(JoinTest, JoinIsClosedInBinaryModel) {
 TEST(SemijoinTest, HashSemijoinKeepsMatchingHeads) {
   Bat ab = AttrBat({1, 2, 3, 4}, {10, 20, 30, 40});
   Bat cd(Column::MakeOid({2, 4, 9}), Column::MakeVoid(0, 3));
-  Bat out = Semijoin(ab, cd).ValueOrDie();
+  Bat out = Semijoin(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 4}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{20, 40}));
 }
@@ -194,8 +197,8 @@ TEST(SemijoinTest, SyncSemijoinWhenOperandsSynced) {
   Bat ab(head, Column::MakeInt({10, 20, 30}));
   Bat cd(head, Column::MakeDbl({0.1, 0.2, 0.3}));
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Semijoin(ab, cd).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Semijoin(ctx, ab, cd).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("semijoin"), "sync_semijoin");
   EXPECT_EQ(out.size(), 3u);
 }
@@ -206,8 +209,8 @@ TEST(SemijoinTest, MergeSemijoinWhenBothHeadSorted) {
   Bat cd(Column::MakeOid({2, 3, 5}), Column::MakeVoid(0, 3),
          Properties{true, false, true, true});
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Semijoin(ab, cd).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Semijoin(ctx, ab, cd).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("semijoin"), "merge_semijoin");
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 3}));
 }
@@ -223,8 +226,8 @@ TEST(SemijoinTest, DatavectorSemijoinUsedAndCached) {
   Bat sel(Column::MakeOid({2, 4}), Column::MakeVoid(0, 2),
           Properties{true, false, true, false});
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out1 = Semijoin(attr, sel).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out1 = Semijoin(ctx, attr, sel).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
   EXPECT_EQ(Heads(out1), (std::vector<Oid>{2, 4}));
   EXPECT_EQ(IntTails(out1), (std::vector<int32_t>{7, 8}));
@@ -235,7 +238,7 @@ TEST(SemijoinTest, DatavectorSemijoinUsedAndCached) {
   attr2.SetDatavector(std::make_shared<bat::Datavector>(
       dv->extent(), Column::MakeInt({60, 70, 50, 80})));
   // Use the same accelerator object to model the shared-extent cache.
-  Bat out2 = Semijoin(attr, sel).ValueOrDie();
+  Bat out2 = Semijoin(ctx, attr, sel).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin(cached)");
   EXPECT_EQ(Heads(out2), Heads(out1));
   EXPECT_TRUE(out1.SyncedWith(out2));
@@ -601,15 +604,12 @@ TEST(DatavectorJoinTest, ChargesWhatItReads) {
   ASSERT_TRUE(Join(ctx, ab, cd).ok());
 
   storage::IoStats ref;
-  {
-    storage::IoScope scope(&ref);
-    ab.tail().TouchAll();
-    for (size_t i = 0; i < ab.size(); ++i) {
-      const uint64_t pos = ab.tail().OidAt(i) - kDvBase;
-      if (pos >= kDvExtent) continue;
-      ab.head().TouchAt(i);
-      cd.datavector()->values()->TouchAt(pos);
-    }
+  ab.tail().TouchAll(&ref);
+  for (size_t i = 0; i < ab.size(); ++i) {
+    const uint64_t pos = ab.tail().OidAt(i) - kDvBase;
+    if (pos >= kDvExtent) continue;
+    ab.head().TouchAt(&ref, i);
+    cd.datavector()->values()->TouchAt(&ref, pos);
   }
   EXPECT_EQ(io.faults(), ref.faults());
   EXPECT_EQ(io.random_faults(), ref.random_faults());
@@ -636,12 +636,9 @@ TEST(DatavectorSemijoinLruTest, InsertionKeepsTheInterleavedOrder) {
     ctx.WithIo(&io).WithParallelDegree(1);  // shard replay approximates LRU
     ASSERT_TRUE(Semijoin(ctx, attr, cd).ok());
     storage::IoStats ref(capacity);
-    {
-      storage::IoScope scope(&ref);
-      for (uint32_t pos : *lookup) {
-        extent->TouchAt(pos);
-        attr.datavector()->values()->TouchAt(pos);
-      }
+    for (uint32_t pos : *lookup) {
+      extent->TouchAt(&ref, pos);
+      attr.datavector()->values()->TouchAt(&ref, pos);
     }
     EXPECT_EQ(io.faults(), ref.faults());
     EXPECT_EQ(io.evictions(), ref.evictions());
@@ -652,14 +649,14 @@ TEST(DatavectorSemijoinLruTest, InsertionKeepsTheInterleavedOrder) {
 TEST(SemijoinTest, DiffIsAntiSemijoin) {
   Bat ab = AttrBat({1, 2, 3}, {10, 20, 30});
   Bat cd(Column::MakeOid({2}), Column::MakeVoid(0, 1));
-  Bat out = Diff(ab, cd).ValueOrDie();
+  Bat out = Diff(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
 }
 
 TEST(SemijoinTest, UnionMergesByHead) {
   Bat ab = AttrBat({1, 2}, {10, 20});
   Bat cd = AttrBat({2, 3}, {99, 30});
-  Bat out = Union(ab, cd).ValueOrDie();
+  Bat out = Union(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 2, 3}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{10, 20, 30}));
 }
@@ -668,7 +665,7 @@ TEST(SemijoinTest, UnionMergesByHead) {
 
 TEST(GroupTest, AssignsDenseOidsPerDistinctValue) {
   Bat ab = AttrBat({1, 2, 3, 4}, {1994, 1995, 1994, 1996});
-  Bat out = Group(ab).ValueOrDie();
+  Bat out = Group(kCtx, ab).ValueOrDie();
   const auto gids = Heads(out.Mirror());  // tail as oids
   EXPECT_EQ(gids[0], gids[2]);
   EXPECT_NE(gids[0], gids[1]);
@@ -682,10 +679,10 @@ TEST(GroupTest, AssignsDenseOidsPerDistinctValue) {
 
 TEST(GroupTest, RefineSplitsGroups) {
   Bat years = AttrBat({1, 2, 3, 4}, {1994, 1994, 1994, 1995});
-  Bat grp = Group(years).ValueOrDie();
+  Bat grp = Group(kCtx, years).ValueOrDie();
   Bat flags(Column::MakeOid({1, 2, 3, 4}), Column::MakeChr({'A', 'B', 'A',
                                                             'A'}));
-  Bat refined = GroupRefine(grp, flags).ValueOrDie();
+  Bat refined = GroupRefine(kCtx, grp, flags).ValueOrDie();
   const auto gids = Heads(refined.Mirror());
   EXPECT_EQ(gids[0], gids[2]);  // (1994,'A')
   EXPECT_NE(gids[0], gids[1]);  // (1994,'B')
@@ -699,8 +696,8 @@ TEST(MultiplexTest, SyncedNumericFastPath) {
   Bat price(head, Column::MakeDbl({10.0, 20.0, 30.0}));
   Bat disc(head, Column::MakeDbl({0.1, 0.2, 0.3}));
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Multiplex("*", {price, disc}).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Multiplex(ctx, "*", {price, disc}).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_synced_numeric");
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 4.0);
   EXPECT_TRUE(out.SyncedWith(price));
@@ -708,7 +705,7 @@ TEST(MultiplexTest, SyncedNumericFastPath) {
 
 TEST(MultiplexTest, ConstantArgumentBroadcasts) {
   Bat disc(Column::MakeOid({1, 2}), Column::MakeDbl({0.1, 0.25}));
-  Bat out = Multiplex("-", {Value::Dbl(1.0), disc}).ValueOrDie();
+  Bat out = Multiplex(kCtx, "-", {Value::Dbl(1.0), disc}).ValueOrDie();
   EXPECT_DOUBLE_EQ(out.tail().NumAt(0), 0.9);
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 0.75);
 }
@@ -717,7 +714,7 @@ TEST(MultiplexTest, YearExtraction) {
   Bat dates(Column::MakeOid({1, 2}),
             Column::MakeDate({Date::FromYmd(1994, 3, 1),
                               Date::FromYmd(1996, 7, 9)}));
-  Bat out = Multiplex("year", {dates}).ValueOrDie();
+  Bat out = Multiplex(kCtx, "year", {dates}).ValueOrDie();
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{1994, 1996}));
 }
 
@@ -725,8 +722,8 @@ TEST(MultiplexTest, HeadJoinAlignmentWhenNotSynced) {
   Bat a(Column::MakeOid({1, 2, 3}), Column::MakeDbl({1, 2, 3}));
   Bat b(Column::MakeOid({3, 1}), Column::MakeDbl({30, 10}));
   ExecTracer tracer;
-  TraceScope scope(&tracer);
-  Bat out = Multiplex("+", {a, b}).ValueOrDie();
+  const ExecContext ctx = ExecContext().WithTracer(&tracer);
+  Bat out = Multiplex(ctx, "+", {a, b}).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_headjoin");
   // Only heads 1 and 3 exist on both sides.
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
@@ -736,7 +733,7 @@ TEST(MultiplexTest, HeadJoinAlignmentWhenNotSynced) {
 
 TEST(MultiplexTest, ComparisonYieldsBits) {
   Bat a(Column::MakeOid({1, 2}), Column::MakeInt({5, 9}));
-  Bat out = Multiplex("<", {a, Value::Int(7)}).ValueOrDie();
+  Bat out = Multiplex(kCtx, "<", {a, Value::Int(7)}).ValueOrDie();
   EXPECT_EQ(out.tail().type(), MonetType::kBit);
   EXPECT_EQ(out.tail().GetValue(0).AsBit(), true);
   EXPECT_EQ(out.tail().GetValue(1).AsBit(), false);
@@ -747,7 +744,7 @@ TEST(MultiplexTest, ComparisonYieldsBits) {
 TEST(AggregateTest, SetAggregateSumGroupsByHead) {
   Bat ab(Column::MakeOid({0, 1, 0, 1, 2}),
          Column::MakeDbl({1.0, 2.0, 3.0, 4.0, 5.0}));
-  Bat out = SetAggregate(AggKind::kSum, ab).ValueOrDie();
+  Bat out = SetAggregate(kCtx, AggKind::kSum, ab).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{0, 1, 2}));
   EXPECT_DOUBLE_EQ(out.tail().NumAt(0), 4.0);
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 6.0);
@@ -758,44 +755,44 @@ TEST(AggregateTest, SetAggregateSumGroupsByHead) {
 
 TEST(AggregateTest, SetAggregateCountAvgMinMax) {
   Bat ab(Column::MakeOid({0, 0, 1}), Column::MakeInt({3, 5, 7}));
-  Bat cnt = SetAggregate(AggKind::kCount, ab).ValueOrDie();
+  Bat cnt = SetAggregate(kCtx, AggKind::kCount, ab).ValueOrDie();
   EXPECT_EQ(cnt.tail().GetValue(0).AsLng(), 2);
-  Bat avg = SetAggregate(AggKind::kAvg, ab).ValueOrDie();
+  Bat avg = SetAggregate(kCtx, AggKind::kAvg, ab).ValueOrDie();
   EXPECT_DOUBLE_EQ(avg.tail().NumAt(0), 4.0);
-  Bat mn = SetAggregate(AggKind::kMin, ab).ValueOrDie();
+  Bat mn = SetAggregate(kCtx, AggKind::kMin, ab).ValueOrDie();
   EXPECT_EQ(mn.tail().GetValue(0).AsInt(), 3);
-  Bat mx = SetAggregate(AggKind::kMax, ab).ValueOrDie();
+  Bat mx = SetAggregate(kCtx, AggKind::kMax, ab).ValueOrDie();
   EXPECT_EQ(mx.tail().GetValue(1).AsInt(), 7);
 }
 
 TEST(AggregateTest, MinMaxPreserveStrings) {
   Bat ab(Column::MakeOid({0, 0}), Column::MakeStr({"beta", "alpha"}));
-  Bat mn = SetAggregate(AggKind::kMin, ab).ValueOrDie();
+  Bat mn = SetAggregate(kCtx, AggKind::kMin, ab).ValueOrDie();
   EXPECT_EQ(mn.tail().Str(0), "alpha");
 }
 
 TEST(AggregateTest, ScalarAggregates) {
   Bat ab(Column::MakeVoid(0, 4), Column::MakeInt({1, 2, 3, 4}));
   EXPECT_DOUBLE_EQ(
-      ScalarAggregate(AggKind::kSum, ab).ValueOrDie().AsDbl(), 10.0);
-  EXPECT_EQ(ScalarAggregate(AggKind::kCount, ab).ValueOrDie().AsLng(), 4);
+      ScalarAggregate(kCtx, AggKind::kSum, ab).ValueOrDie().AsDbl(), 10.0);
+  EXPECT_EQ(ScalarAggregate(kCtx, AggKind::kCount, ab).ValueOrDie().AsLng(), 4);
   EXPECT_DOUBLE_EQ(
-      ScalarAggregate(AggKind::kAvg, ab).ValueOrDie().AsDbl(), 2.5);
-  EXPECT_EQ(ScalarAggregate(AggKind::kMin, ab).ValueOrDie().AsInt(), 1);
-  EXPECT_EQ(ScalarAggregate(AggKind::kMax, ab).ValueOrDie().AsInt(), 4);
+      ScalarAggregate(kCtx, AggKind::kAvg, ab).ValueOrDie().AsDbl(), 2.5);
+  EXPECT_EQ(ScalarAggregate(kCtx, AggKind::kMin, ab).ValueOrDie().AsInt(), 1);
+  EXPECT_EQ(ScalarAggregate(kCtx, AggKind::kMax, ab).ValueOrDie().AsInt(), 4);
 }
 
 // ---------------------------------------------------------------- reshape
 
 TEST(ReshapeTest, UniqueRemovesDuplicateBuns) {
   Bat ab(Column::MakeOid({0, 0, 1, 0}), Column::MakeInt({5, 5, 5, 6}));
-  Bat out = Unique(ab).ValueOrDie();
+  Bat out = Unique(kCtx, ab).ValueOrDie();
   EXPECT_EQ(out.size(), 3u);  // (0,5), (1,5), (0,6)
 }
 
 TEST(ReshapeTest, HeadUniqueKeepsFirstPerHead) {
   Bat ab(Column::MakeOid({2, 2, 1}), Column::MakeInt({5, 6, 7}));
-  Bat out = HeadUnique(ab).ValueOrDie();
+  Bat out = HeadUnique(kCtx, ab).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 1}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{5, 7}));
   EXPECT_TRUE(out.props().hkey);
@@ -803,7 +800,7 @@ TEST(ReshapeTest, HeadUniqueKeepsFirstPerHead) {
 
 TEST(ReshapeTest, MarkAttachesDenseOids) {
   Bat ab = AttrBat({5, 6, 7}, {1, 2, 3});
-  Bat out = Mark(ab, 100).ValueOrDie();
+  Bat out = Mark(kCtx, ab, 100).ValueOrDie();
   EXPECT_TRUE(out.tail().is_void());
   EXPECT_EQ(out.tail().OidAt(2), 102u);
   EXPECT_TRUE(out.props().tkey);
@@ -811,15 +808,15 @@ TEST(ReshapeTest, MarkAttachesDenseOids) {
 
 TEST(ReshapeTest, SliceTakesPositionalWindow) {
   Bat ab = AttrBat({1, 2, 3, 4}, {10, 20, 30, 40});
-  Bat out = Slice(ab, 1, 3).ValueOrDie();
+  Bat out = Slice(kCtx, ab, 1, 3).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 3}));
-  Bat clamped = Slice(ab, 2, 99).ValueOrDie();
+  Bat clamped = Slice(kCtx, ab, 2, 99).ValueOrDie();
   EXPECT_EQ(clamped.size(), 2u);
 }
 
 TEST(ReshapeTest, SortTailOrdersAscending) {
   Bat ab = AttrBat({1, 2, 3}, {30, 10, 20});
-  Bat out = SortTail(ab).ValueOrDie();
+  Bat out = SortTail(kCtx, ab).ValueOrDie();
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{10, 20, 30}));
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 3, 1}));
   EXPECT_TRUE(out.props().tsorted);
@@ -828,21 +825,21 @@ TEST(ReshapeTest, SortTailOrdersAscending) {
 
 TEST(ReshapeTest, TopNDescendingTakesLargest) {
   Bat ab = AttrBat({1, 2, 3, 4}, {10, 40, 20, 30});
-  Bat out = TopN(ab, 2, /*descending=*/true).ValueOrDie();
+  Bat out = TopN(kCtx, ab, 2, /*descending=*/true).ValueOrDie();
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 4}));
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{40, 30}));
-  Bat asc = TopN(ab, 2, /*descending=*/false).ValueOrDie();
+  Bat asc = TopN(kCtx, ab, 2, /*descending=*/false).ValueOrDie();
   EXPECT_EQ(IntTails(asc), (std::vector<int32_t>{10, 20}));
 }
 
 TEST(ReshapeTest, TopNClampsToSize) {
   Bat ab = AttrBat({1}, {10});
-  EXPECT_EQ(TopN(ab, 5, true).ValueOrDie().size(), 1u);
+  EXPECT_EQ(TopN(kCtx, ab, 5, true).ValueOrDie().size(), 1u);
 }
 
 TEST(ReshapeTest, ProjectConstBroadcasts) {
   Bat ab = AttrBat({1, 2}, {0, 0});
-  Bat out = ProjectConst(ab, Value::Str("x")).ValueOrDie();
+  Bat out = ProjectConst(kCtx, ab, Value::Str("x")).ValueOrDie();
   EXPECT_EQ(out.tail().Str(1), "x");
   EXPECT_TRUE(out.SyncedWith(ab));
 }
@@ -850,10 +847,10 @@ TEST(ReshapeTest, ProjectConstBroadcasts) {
 TEST(ReshapeTest, AppendConcatenates) {
   Bat ab = AttrBat({1}, {10});
   Bat cd = AttrBat({2}, {20});
-  Bat out = Append(ab, cd).ValueOrDie();
+  Bat out = Append(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(out.size(), 2u);
   Bat bad_typed(Column::MakeOid({1}), Column::MakeStr({"x"}));
-  EXPECT_FALSE(Append(ab, bad_typed).ok());
+  EXPECT_FALSE(Append(kCtx, ab, bad_typed).ok());
 }
 
 // ---------------------------------------------------------------- scalars

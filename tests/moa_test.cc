@@ -12,6 +12,9 @@
 namespace moaflat::moa {
 namespace {
 
+/// Default execution context: no tracer, no page accountant.
+const kernel::ExecContext kCtx;
+
 // ---------------------------------------------------------------- parser
 
 TEST(ParserTest, ParsesLiteralsAndPaths) {
@@ -154,8 +157,8 @@ TEST_F(MoaEndToEndTest, PathSelectJoinsBackwards) {
 }
 
 TEST_F(MoaEndToEndTest, SelectCountMatchesGenerator) {
-  auto qr =
-      RunMoa(instance_->db, "select[=(returnflag, 'R')](Item)").ValueOrDie();
+  auto qr = RunMoa(kCtx, instance_->db, "select[=(returnflag, 'R')](Item)")
+                .ValueOrDie();
   ResultView view(&qr.env);
   auto ids = view.SetIds(*qr.translation.result).ValueOrDie();
 
@@ -168,7 +171,7 @@ TEST_F(MoaEndToEndTest, SelectCountMatchesGenerator) {
 }
 
 TEST_F(MoaEndToEndTest, ConjunctivePredicatesIntersect) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "select[=(returnflag, 'R'), <(discount, 0.05)](Item)")
                 .ValueOrDie();
   ResultView view(&qr.env);
@@ -181,7 +184,7 @@ TEST_F(MoaEndToEndTest, ConjunctivePredicatesIntersect) {
 }
 
 TEST_F(MoaEndToEndTest, ProjectComputesArithmetic) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "project[<*(extendedprice, -(1.0, discount)) : revenue>]("
                    "select[=(returnflag, 'R')](Item))")
                 .ValueOrDie();
@@ -207,7 +210,7 @@ TEST_F(MoaEndToEndTest, ThePaperQ13EndToEnd) {
       instance_->probe_clerk +
       "\"),"
       "             =(returnflag, 'R')](Item))))";
-  auto qr = RunMoa(instance_->db, q13).ValueOrDie();
+  auto qr = RunMoa(kCtx, instance_->db, q13).ValueOrDie();
 
   // Expected loss per year, computed straight off the generated rows.
   std::map<int, double> expected;
@@ -247,7 +250,7 @@ TEST_F(MoaEndToEndTest, Q13UsesDatavectorSemijoins) {
       "*(extendedprice, -(1.0, discount)) : revenue>]("
       "select[=(order.clerk, \"" +
       instance_->probe_clerk + "\"), =(returnflag, 'R')](Item))))";
-  auto qr = RunMoa(instance_->db, q13).ValueOrDie();
+  auto qr = RunMoa(kCtx, instance_->db, q13).ValueOrDie();
   // The returnflag / extendedprice / discount accesses must have gone
   // through the datavector semijoin (Fig. 10 commentary).
   std::string all_impls;
@@ -258,7 +261,7 @@ TEST_F(MoaEndToEndTest, Q13UsesDatavectorSemijoins) {
 
 TEST_F(MoaEndToEndTest, NestedSetSelectionOfSection432) {
   // "for each supplier, the set of parts that are out of stock"
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "project[<%name : name, "
                    "select[=(%available, 0)](%supplies) : oos>](Supplier)")
                 .ValueOrDie();
@@ -288,7 +291,7 @@ TEST_F(MoaEndToEndTest, NestedSetSelectionOfSection432) {
 }
 
 TEST_F(MoaEndToEndTest, StructureExpressionShape) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "project[<year(order.orderdate) : date>]("
                    "select[=(returnflag, 'R')](Item))")
                 .ValueOrDie();
@@ -298,7 +301,7 @@ TEST_F(MoaEndToEndTest, StructureExpressionShape) {
 }
 
 TEST_F(MoaEndToEndTest, RenderProducesReadableOutput) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "project[<year(order.orderdate) : date>]("
                    "select[=(returnflag, 'R')](Item))")
                 .ValueOrDie();
@@ -307,13 +310,13 @@ TEST_F(MoaEndToEndTest, RenderProducesReadableOutput) {
 }
 
 TEST_F(MoaEndToEndTest, UnknownAttributeFailsCleanly) {
-  auto r = RunMoa(instance_->db, "select[=(bogus, 1)](Item)");
+  auto r = RunMoa(kCtx, instance_->db, "select[=(bogus, 1)](Item)");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kKeyError);
 }
 
 TEST_F(MoaEndToEndTest, UnknownClassFailsCleanly) {
-  auto r = RunMoa(instance_->db, "select[=(a, 1)](Nonexistent)");
+  auto r = RunMoa(kCtx, instance_->db, "select[=(a, 1)](Nonexistent)");
   EXPECT_FALSE(r.ok());
 }
 

@@ -20,6 +20,9 @@ namespace {
 using bat::Bat;
 using bat::Column;
 
+/// Default execution context: no tracer, no page accountant.
+const kernel::ExecContext kCtx;
+
 class DegreeGuard {
  public:
   explicit DegreeGuard(int d) { SetParallelDegree(d); }
@@ -112,10 +115,12 @@ TEST(ParallelTest, ParallelScanSelectMatchesSerial) {
   Bat ab = BigRandomAttr(200000);
   SetParallelDegree(1);
   Bat serial =
-      kernel::SelectRange(ab, Value::Int(100), Value::Int(300)).ValueOrDie();
+      kernel::SelectRange(kCtx, ab, Value::Int(100), Value::Int(300))
+          .ValueOrDie();
   SetParallelDegree(6);
   Bat parallel =
-      kernel::SelectRange(ab, Value::Int(100), Value::Int(300)).ValueOrDie();
+      kernel::SelectRange(kCtx, ab, Value::Int(100), Value::Int(300))
+          .ValueOrDie();
   SetParallelDegree(0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -128,9 +133,9 @@ TEST(ParallelTest, ParallelMultiplexMatchesSerial) {
   Bat a = BigRandomAttr(150000);
   Bat b = Bat(a.head_col(), BigRandomAttr(150000).tail_col());
   SetParallelDegree(1);
-  Bat serial = kernel::Multiplex("*", {a, b}).ValueOrDie();
+  Bat serial = kernel::Multiplex(kCtx, "*", {a, b}).ValueOrDie();
   SetParallelDegree(6);
-  Bat parallel = kernel::Multiplex("*", {a, b}).ValueOrDie();
+  Bat parallel = kernel::Multiplex(kCtx, "*", {a, b}).ValueOrDie();
   SetParallelDegree(0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); i += 97) {
@@ -241,15 +246,11 @@ TEST(ParallelTest, IoAccountingUnaffectedByDegree) {
   Bat ab = BigRandomAttr(100000);
   storage::IoStats io1, io6;
   SetParallelDegree(1);
-  {
-    storage::IoScope scope(&io1);
-    (void)kernel::SelectRange(ab, Value::Int(0), Value::Int(50));
-  }
+  (void)kernel::SelectRange(kernel::ExecContext().WithIo(&io1), ab,
+                            Value::Int(0), Value::Int(50));
   SetParallelDegree(6);
-  {
-    storage::IoScope scope(&io6);
-    (void)kernel::SelectRange(ab, Value::Int(0), Value::Int(50));
-  }
+  (void)kernel::SelectRange(kernel::ExecContext().WithIo(&io6), ab,
+                            Value::Int(0), Value::Int(50));
   SetParallelDegree(0);
   EXPECT_EQ(io1.faults(), io6.faults());
 }

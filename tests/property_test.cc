@@ -22,6 +22,9 @@ namespace {
 using bat::Bat;
 using bat::Column;
 
+/// Default execution context: no tracer, no page accountant.
+const ExecContext kCtx;
+
 struct Config {
   uint64_t seed;
   size_t size;
@@ -68,7 +71,7 @@ TEST_P(KernelProperty, SelectMatchesBruteForce) {
   const int32_t lo = static_cast<int32_t>(cfg.value_range / 4);
   const int32_t hi = static_cast<int32_t>(3 * cfg.value_range / 4);
 
-  Bat out = SelectRange(ab, Value::Int(lo), Value::Int(hi)).ValueOrDie();
+  Bat out = SelectRange(kCtx, ab, Value::Int(lo), Value::Int(hi)).ValueOrDie();
   std::multiset<std::pair<Oid, int32_t>> expected;
   for (size_t i = 0; i < ab.size(); ++i) {
     const int32_t v = static_cast<int32_t>(ab.tail().NumAt(i));
@@ -82,10 +85,10 @@ TEST_P(KernelProperty, SelectCmpPartitionsTheBat) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 2);
   const Value pivot = Value::Int(static_cast<int32_t>(cfg.value_range / 2));
-  const size_t lt = SelectCmp(ab, CmpOp::kLt, pivot).ValueOrDie().size();
-  const size_t eq = Select(ab, pivot).ValueOrDie().size();
-  const size_t gt = SelectCmp(ab, CmpOp::kGt, pivot).ValueOrDie().size();
-  const size_t ne = SelectCmp(ab, CmpOp::kNe, pivot).ValueOrDie().size();
+  const size_t lt = SelectCmp(kCtx, ab, CmpOp::kLt, pivot).ValueOrDie().size();
+  const size_t eq = Select(kCtx, ab, pivot).ValueOrDie().size();
+  const size_t gt = SelectCmp(kCtx, ab, CmpOp::kGt, pivot).ValueOrDie().size();
+  const size_t ne = SelectCmp(kCtx, ab, CmpOp::kNe, pivot).ValueOrDie().size();
   EXPECT_EQ(lt + eq + gt, ab.size());
   EXPECT_EQ(ne + eq, ab.size());
 }
@@ -98,7 +101,7 @@ TEST_P(KernelProperty, JoinMatchesNestedLoop) {
   Bat cd_src = MakeRandomAttr(cfg, 4);
   Bat cd = cd_src.Mirror();
 
-  Bat out = Join(ab, cd).ValueOrDie();
+  Bat out = Join(kCtx, ab, cd).ValueOrDie();
   std::multiset<std::pair<Oid, int32_t>> expected;
   for (size_t i = 0; i < ab.size(); ++i) {
     for (size_t j = 0; j < cd.size(); ++j) {
@@ -126,7 +129,7 @@ TEST_P(KernelProperty, SemijoinMatchesBruteForce) {
   keys.push_back(999999999);
   Bat cd(Column::MakeOid(keys), Column::MakeVoid(0, keys.size()));
 
-  Bat out = Semijoin(ab, cd).ValueOrDie();
+  Bat out = Semijoin(kCtx, ab, cd).ValueOrDie();
   std::set<Oid> right;
   for (Oid k : keys) right.insert(k);
   std::multiset<std::pair<Oid, int32_t>> expected;
@@ -140,7 +143,7 @@ TEST_P(KernelProperty, SemijoinMatchesBruteForce) {
   EXPECT_TRUE(out.Validate().ok());
 
   // Diff is the exact complement.
-  Bat anti = Diff(ab, cd).ValueOrDie();
+  Bat anti = Diff(kCtx, ab, cd).ValueOrDie();
   EXPECT_EQ(out.size() + anti.size(), ab.size());
 }
 
@@ -158,7 +161,7 @@ TEST_P(KernelProperty, DatavectorSemijoinAgreesWithHashSemijoin) {
   auto extent = Column::MakeOid(oids);
   auto values = Column::MakeInt(vals);
   Bat oid_ordered(extent, values, bat::Properties{true, false, true, false});
-  Bat sorted = SortTail(oid_ordered).ValueOrDie();
+  Bat sorted = SortTail(kCtx, oid_ordered).ValueOrDie();
   Bat with_dv = sorted;
   with_dv.SetDatavector(std::make_shared<bat::Datavector>(extent, values));
 
@@ -167,8 +170,8 @@ TEST_P(KernelProperty, DatavectorSemijoinAgreesWithHashSemijoin) {
   Bat right(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()),
             bat::Properties{true, false, true, false});
 
-  Bat via_dv = Semijoin(with_dv, right).ValueOrDie();
-  Bat via_hash = Semijoin(sorted, right).ValueOrDie();
+  Bat via_dv = Semijoin(kCtx, with_dv, right).ValueOrDie();
+  Bat via_hash = Semijoin(kCtx, sorted, right).ValueOrDie();
   EXPECT_EQ(AsPairs(via_dv), AsPairs(via_hash));
   EXPECT_TRUE(via_dv.Validate().ok());
 }
@@ -176,7 +179,7 @@ TEST_P(KernelProperty, DatavectorSemijoinAgreesWithHashSemijoin) {
 TEST_P(KernelProperty, SortIsPermutationAndSorted) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 6);
-  Bat out = SortTail(ab).ValueOrDie();
+  Bat out = SortTail(kCtx, ab).ValueOrDie();
   EXPECT_EQ(out.size(), ab.size());
   EXPECT_EQ(AsPairs(out), AsPairs(ab));
   EXPECT_TRUE(out.tail().ComputeSorted());
@@ -187,9 +190,9 @@ TEST_P(KernelProperty, TopNAgreesWithSortSlice) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 7);
   const size_t n = std::min<size_t>(5, ab.size());
-  Bat top = TopN(ab, n, /*descending=*/false).ValueOrDie();
-  Bat sorted = SortTail(ab).ValueOrDie();
-  Bat sliced = Slice(sorted, 0, n).ValueOrDie();
+  Bat top = TopN(kCtx, ab, n, /*descending=*/false).ValueOrDie();
+  Bat sorted = SortTail(kCtx, ab).ValueOrDie();
+  Bat sliced = Slice(kCtx, sorted, 0, n).ValueOrDie();
   // Tail values must agree (head ties may be ordered differently).
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(top.tail().NumAt(i), sliced.tail().NumAt(i)) << i;
@@ -199,7 +202,7 @@ TEST_P(KernelProperty, TopNAgreesWithSortSlice) {
 TEST_P(KernelProperty, GroupIsEquivalenceRelation) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 8);
-  Bat g = Group(ab).ValueOrDie();
+  Bat g = Group(kCtx, ab).ValueOrDie();
   ASSERT_EQ(g.size(), ab.size());
   for (size_t i = 0; i < ab.size(); ++i) {
     for (size_t j = 0; j < std::min(ab.size(), i + 20); ++j) {
@@ -213,9 +216,9 @@ TEST_P(KernelProperty, GroupIsEquivalenceRelation) {
 TEST_P(KernelProperty, SetAggregateSumMatchesBruteForce) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 9);
-  Bat g = Group(ab).ValueOrDie();
+  Bat g = Group(kCtx, ab).ValueOrDie();
   Bat grouped = Bat(g.tail_col(), ab.tail_col());  // [gid, value]
-  Bat sums = SetAggregate(AggKind::kSum, grouped).ValueOrDie();
+  Bat sums = SetAggregate(kCtx, AggKind::kSum, grouped).ValueOrDie();
 
   std::map<Oid, double> expected;
   for (size_t i = 0; i < grouped.size(); ++i) {
@@ -232,7 +235,7 @@ TEST_P(KernelProperty, SetAggregateSumMatchesBruteForce) {
     total_groups += sums.tail().NumAt(i);
   }
   const double total =
-      ScalarAggregate(AggKind::kSum, ab).ValueOrDie().AsDbl();
+      ScalarAggregate(kCtx, AggKind::kSum, ab).ValueOrDie().AsDbl();
   EXPECT_NEAR(total, total_groups, 1e-6 * std::max(1.0, std::fabs(total)));
 }
 
@@ -240,9 +243,9 @@ TEST_P(KernelProperty, UniqueIsIdempotentSetSemantics) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 10);
   // Duplicate the BUNs to force dedup work.
-  Bat doubled = Append(ab, ab).ValueOrDie();
-  Bat u1 = Unique(doubled).ValueOrDie();
-  Bat u2 = Unique(u1).ValueOrDie();
+  Bat doubled = Append(kCtx, ab, ab).ValueOrDie();
+  Bat u1 = Unique(kCtx, doubled).ValueOrDie();
+  Bat u2 = Unique(kCtx, u1).ValueOrDie();
   EXPECT_EQ(u1.size(), u2.size());
   std::set<std::pair<Oid, int32_t>> distinct;
   for (size_t i = 0; i < ab.size(); ++i) {
@@ -267,7 +270,7 @@ TEST_P(KernelProperty, MultiplexArithMatchesRowAtATime) {
   Bat a = MakeRandomAttr(cfg, 12);
   Bat b = Bat(a.head_col(),
               MakeRandomAttr(cfg, 13).tail_col());  // synced with a
-  Bat out = Multiplex("+", {a, b}).ValueOrDie();
+  Bat out = Multiplex(kCtx, "+", {a, b}).ValueOrDie();
   ASSERT_EQ(out.size(), a.size());
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_DOUBLE_EQ(out.tail().NumAt(i),
@@ -280,11 +283,12 @@ TEST_P(KernelProperty, UnionDiffIntersectAlgebra) {
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 14);
   const size_t half = ab.size() / 2;
-  Bat left = Slice(ab, 0, half + half / 2).ValueOrDie();   // overlaps right
-  Bat right = Slice(ab, half, ab.size()).ValueOrDie();
-  Bat uni = Union(left, right).ValueOrDie();
-  Bat inter = Intersect(left, right).ValueOrDie();
-  Bat diff = Diff(left, right).ValueOrDie();
+  // `left` overlaps `right`.
+  Bat left = Slice(kCtx, ab, 0, half + half / 2).ValueOrDie();
+  Bat right = Slice(kCtx, ab, half, ab.size()).ValueOrDie();
+  Bat uni = Union(kCtx, left, right).ValueOrDie();
+  Bat inter = Intersect(kCtx, left, right).ValueOrDie();
+  Bat diff = Diff(kCtx, left, right).ValueOrDie();
   // |A u B| = |A| + |B| - |A n B| for keyed heads.
   EXPECT_EQ(uni.size(), left.size() + right.size() - inter.size());
   EXPECT_EQ(diff.size() + inter.size(), left.size());

@@ -13,6 +13,9 @@
 namespace moaflat::moa {
 namespace {
 
+/// Default execution context: no tracer, no page accountant.
+const kernel::ExecContext kCtx;
+
 class RewriterExtraTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -32,7 +35,7 @@ tpcd::TpcdData* RewriterExtraTest::data_ = nullptr;
 std::shared_ptr<tpcd::TpcdInstance> RewriterExtraTest::instance_ = nullptr;
 
 TEST_F(RewriterExtraTest, UnionOfSelections) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "union(select[=(returnflag, 'R')](Item),"
                    "      select[=(returnflag, 'A')](Item))")
                 .ValueOrDie();
@@ -46,7 +49,7 @@ TEST_F(RewriterExtraTest, UnionOfSelections) {
 }
 
 TEST_F(RewriterExtraTest, DifferenceOfSelections) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "difference(select[=(returnflag, 'R')](Item),"
                    "           select[<(discount, 0.05)](Item))")
                 .ValueOrDie();
@@ -60,7 +63,7 @@ TEST_F(RewriterExtraTest, DifferenceOfSelections) {
 }
 
 TEST_F(RewriterExtraTest, IntersectionOfSelections) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "intersection(select[=(returnflag, 'R')](Item),"
                    "             select[<(discount, 0.05)](Item))")
                 .ValueOrDie();
@@ -76,7 +79,7 @@ TEST_F(RewriterExtraTest, IntersectionOfSelections) {
 TEST_F(RewriterExtraTest, UnnestFlattensSetTuples) {
   // unnest[supplies](Supplier): one element per supplies entry.
   auto qr =
-      RunMoa(instance_->db, "unnest[supplies](Supplier)").ValueOrDie();
+      RunMoa(kCtx, instance_->db, "unnest[supplies](Supplier)").ValueOrDie();
   ResultView view(&qr.env);
   auto ids = view.SetIds(*qr.translation.result).ValueOrDie();
   EXPECT_EQ(ids.size(), data_->partsupps.size());
@@ -87,7 +90,7 @@ TEST_F(RewriterExtraTest, UnnestFlattensSetTuples) {
 }
 
 TEST_F(RewriterExtraTest, UnnestAfterProjectKeepsOwnerFields) {
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(kCtx, instance_->db,
                    "unnest[oos](project[<%name : sname, "
                    "select[=(%available, 0)](%supplies) : oos>](Supplier))")
                 .ValueOrDie();
@@ -108,7 +111,7 @@ TEST_F(RewriterExtraTest, UnnestAfterProjectKeepsOwnerFields) {
 
 TEST_F(RewriterExtraTest, TopLevelAggregates) {
   auto qr =
-      RunMoa(instance_->db,
+      RunMoa(kCtx, instance_->db,
              "count(project[quantity](select[=(returnflag, 'R')](Item)))")
           .ValueOrDie();
   ASSERT_EQ(qr.translation.result->kind, StructExpr::Kind::kAtom);
@@ -121,7 +124,7 @@ TEST_F(RewriterExtraTest, TopLevelAggregates) {
 }
 
 TEST_F(RewriterExtraTest, AvgAndMinMaxTopLevel) {
-  auto avg = RunMoa(instance_->db, "avg(project[quantity](Item))")
+  auto avg = RunMoa(kCtx, instance_->db, "avg(project[quantity](Item))")
                  .ValueOrDie();
   const double a =
       avg.env.GetValue(avg.translation.result->var).ValueOrDie().AsDbl();
@@ -130,7 +133,7 @@ TEST_F(RewriterExtraTest, AvgAndMinMaxTopLevel) {
   EXPECT_NEAR(a, sum / data_->items.size(), 1e-9);
 
   auto mx =
-      RunMoa(instance_->db, "max(project[discount](Item))").ValueOrDie();
+      RunMoa(kCtx, instance_->db, "max(project[discount](Item))").ValueOrDie();
   const double m =
       mx.env.GetValue(mx.translation.result->var).ValueOrDie().AsDbl();
   double expected = 0;

@@ -759,6 +759,18 @@ TEST(WireHardeningTest, AbruptDisconnectClosesSessionsWithoutKillingServer) {
     std::string submitted =
         doomed.Call("SUBMIT " + sid + " " + SlowScanMil(';')).ValueOrDie();
     ASSERT_EQ(submitted.rfind("OK ", 0), 0u) << submitted;
+    // Hang up only once an executor picked the scan up: closing a session
+    // vetoes a still-queued query instead of cancelling it.
+    const std::string qid = submitted.substr(3, submitted.find(' ', 3) - 3);
+    std::string polled;
+    for (int spin = 0; spin < 10000; ++spin) {
+      polled = doomed.Call("POLL " + qid).ValueOrDie();
+      if (polled.rfind("OK RUNNING", 0) == 0) break;
+      ASSERT_EQ(polled.rfind("OK QUEUED", 0), 0u)
+          << "query went terminal before the hangup: " << polled;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(polled.rfind("OK RUNNING", 0), 0u) << polled;
     doomed.Close();
   }
 

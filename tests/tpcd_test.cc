@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "kernel/cost_model.h"
 #include "kernel/exec_context.h"
-#include "tpcd/cost_model.h"
 #include "tpcd/generator.h"
 #include "tpcd/loader.h"
 #include "tpcd/queries.h"
@@ -148,10 +148,10 @@ class QueryCrossCheck : public TpcdSuiteTest,
 
 TEST_P(QueryCrossCheck, MonetMatchesBaseline) {
   const int q = GetParam();
-  auto monet = suite_->RunMonet(q);
+  auto monet = suite_->RunMonet(q, kernel::ExecContext());
   ASSERT_TRUE(monet.ok()) << "monet Q" << q << ": "
                           << monet.status().ToString();
-  auto base = suite_->RunBaseline(q);
+  auto base = suite_->RunBaseline(q, kernel::ExecContext());
   ASSERT_TRUE(base.ok()) << "baseline Q" << q << ": "
                          << base.status().ToString();
   EXPECT_EQ(monet->rows, base->rows) << "Q" << q << " row count";
@@ -219,7 +219,7 @@ TEST(Q1PlanShapeTest, IndexJoinsAreFetchJoinsAtAnyDegree) {
 // -------------------------------------------------------------- cost model
 
 TEST(CostModelTest, ConstantsMatchThePaper) {
-  CostModel m(CostModelParams{});  // X=6e6, n=16, w=4, B=4096
+  kernel::CostModel m(kernel::CostModelParams{});  // X=6e6, n=16, w=4, B=4096
   EXPECT_EQ(m.CInv(), 512);
   EXPECT_EQ(m.CRel(), 60);   // 4096 / (17*4)
   EXPECT_EQ(m.CBat(), 512);
@@ -227,13 +227,13 @@ TEST(CostModelTest, ConstantsMatchThePaper) {
 }
 
 TEST(CostModelTest, ZeroSelectivityCostsOnlyTableProbability) {
-  CostModel m(CostModelParams{});
+  kernel::CostModel m(kernel::CostModelParams{});
   EXPECT_NEAR(m.ERel(0.0), 0.0, 1.0);
   EXPECT_NEAR(m.EDv(0.0, 3), 0.0, 1.0);
 }
 
 TEST(CostModelTest, MonetWinsAtModerateSelectivity) {
-  CostModel m(CostModelParams{});
+  kernel::CostModel m(kernel::CostModelParams{});
   // At s = 0.01 with p = 3, the decomposed representation must win
   // (Fig. 8 shows E_dv well below E_rel there).
   EXPECT_LT(m.EDv(0.01, 3), m.ERel(0.01));
@@ -241,12 +241,12 @@ TEST(CostModelTest, MonetWinsAtModerateSelectivity) {
 }
 
 TEST(CostModelTest, RelationalWinsAtVeryLowSelectivity) {
-  CostModel m(CostModelParams{});
+  kernel::CostModel m(kernel::CostModelParams{});
   EXPECT_GT(m.EDv(0.0005, 3), m.ERel(0.0005));
 }
 
 TEST(CostModelTest, CrossoverNearPaperValue) {
-  CostModel m(CostModelParams{});
+  kernel::CostModel m(kernel::CostModelParams{});
   // "the crossover point for n = 16, p = 3 is at s ~ 0.004".
   const double s = m.Crossover(3);
   EXPECT_GT(s, 0.001);
@@ -254,7 +254,7 @@ TEST(CostModelTest, CrossoverNearPaperValue) {
 }
 
 TEST(CostModelTest, CostIncreasesWithProjectionWidth) {
-  CostModel m(CostModelParams{});
+  kernel::CostModel m(kernel::CostModelParams{});
   for (double s : {0.005, 0.01, 0.02}) {
     EXPECT_LT(m.EDv(s, 1), m.EDv(s, 3));
     EXPECT_LT(m.EDv(s, 3), m.EDv(s, 6));

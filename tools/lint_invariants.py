@@ -58,6 +58,15 @@ naked-mutex
     are out of scope on purpose.) Escapes carry
     `// lint:allow(naked-mutex)` with a reason.
 
+thread-local-state
+    A `thread_local` variable. Execution state (tracer, page accountant,
+    budget, cancel token) travels in the ExecContext each kernel is handed
+    and in the accountant each touch is handed; a thread-local twin makes
+    correctness depend on scope discipline no type or annotation can see —
+    which thread runs a morsel would decide what gets counted. Only state
+    that is per-thread by nature may stay, each site carrying
+    `// lint:allow(thread-local-state)` with a reason.
+
 An allow comment counts when it appears inside the flagged statement or on
 one of the two lines above it.
 
@@ -78,6 +87,7 @@ ALLOW_RE = re.compile(r"lint:allow\(([a-z-]+)\)")
 SYNC_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*(?:\(\))?(?:[.->]+[A-Za-z_][A-Za-z0-9_]*(?:\(\))?)*)\.sync_key\(\)")
 VOID_CTX_RE = re.compile(r"\(\s*void\s*\)\s*ctx\b")
 PLAN_RE = re.compile(r"\bctx\.Plan\(")
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b")
 INTERRUPT_RE = re.compile(r"\bCheckInterrupt\(")
 # A function definition starts in column 0 (the repo never indents inside
 # namespaces) and its closing brace is a column-0 '}'.
@@ -319,8 +329,24 @@ def check_naked_mutex(path, lines):
     return findings
 
 
+def check_thread_local_state(path, lines):
+    findings = []
+    for i, line in enumerate(lines):
+        if not THREAD_LOCAL_RE.search(strip_comments(line)):
+            continue
+        if allowed(lines, i, i, "thread-local-state"):
+            continue
+        findings.append(Finding(
+            path, i + 1, "thread-local-state",
+            "thread_local state: pass it explicitly (the ExecContext, or "
+            "the accountant a touch charges), or annotate "
+            "// lint:allow(thread-local-state) if it is per-thread by "
+            "nature"))
+    return findings
+
+
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
-          check_unsynced_rename, check_naked_mutex]
+          check_unsynced_rename, check_naked_mutex, check_thread_local_state]
 
 
 def lint_file(path, text=None):
@@ -544,6 +570,19 @@ Result<Bat> TouchOnly(const ExecContext& ctx, const Bat& ab) {
   return ab;
 }
 """, {"sync-head-only": 0, "uncharged-kernel": 0, "unpolled-plan": 0}),
+    # The thread-local twin class: an ambient accountant that kernels and
+    # morsels reach without being handed it.
+    ("broken_thread_local.cc", """
+namespace {
+thread_local IoStats* t_ambient_io = nullptr;  // the ambient accountant
+}  // namespace
+IoStats* AmbientIo() { return t_ambient_io; }
+""", {"thread-local-state": 1}),
+    # Per-thread by nature, and it says so.
+    ("allowed_thread_local.cc", """
+// Each thread's held-lock stack. lint:allow(thread-local-state)
+thread_local const Mutex* g_held[kMaxHeld];
+""", {"thread-local-state": 0}),
 ]
 
 
