@@ -2,9 +2,9 @@
 // and merge semijoins, on the workload that motivates it — one selection
 // followed by p semijoins fetching value attributes ("in many TPC-D
 // queries it reduces the cost of multiple semijoins by more than half").
-// The `Repeated` benchmarks show the LOOKUP-cache effect: the first
-// datavector semijoin pays the positional extent probes, later ones reuse
-// the positions.
+// The `Repeated` benchmarks time the p semijoins: every datavector
+// semijoin probes the dense extent (one subtraction per right-operand oid)
+// and then fetches the hits positionally.
 
 #include <benchmark/benchmark.h>
 
@@ -69,32 +69,17 @@ void BM_HashSemijoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashSemijoin);
 
-void BM_DatavectorSemijoin_ColdLookup(benchmark::State& state) {
+void BM_DatavectorSemijoin(benchmark::State& state) {
   Fixture f(1 << 18, 0.01, 1);
   for (auto _ : state) {
-    // A fresh right operand every iteration defeats the LOOKUP cache.
-    state.PauseTiming();
-    Bat sel(f.selection.head_col(),
-            Column::MakeVoid(0, f.selection.size()),
-            f.selection.props());
-    Bat fresh(Column::MakeOid([&] {
-                std::vector<Oid> v;
-                for (size_t i = 0; i < f.selection.size(); ++i) {
-                  v.push_back(f.selection.head().OidAt(i));
-                }
-                return v;
-              }()),
-              Column::MakeVoid(0, f.selection.size()), f.selection.props());
-    state.ResumeTiming();
-    auto out = kernel::Semijoin(kCtx, f.attrs_dv[0], fresh);
+    auto out = kernel::Semijoin(kCtx, f.attrs_dv[0], f.selection);
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_DatavectorSemijoin_ColdLookup);
+BENCHMARK(BM_DatavectorSemijoin);
 
 /// The paper's OLAP pattern: one selection, then p value-attribute
-/// fetches. With datavectors the first semijoin blazes the trail and the
-/// remaining p-1 ride the cached LOOKUP array.
+/// fetches.
 void BM_RepeatedSemijoins(benchmark::State& state, bool use_dv) {
   const int p = static_cast<int>(state.range(0));
   Fixture f(1 << 18, 0.01, p);

@@ -2,8 +2,8 @@
 // execution trace of TPC-D query 13 — elapsed time and page faults per
 // statement, with the implementation the dynamic optimizer chose (the
 // paper's narrative: binary-search select on Order_clerk, merge join via
-// Item_order, datavector semijoins for the value attributes with the
-// second one riding the cached LOOKUP array, synced multiplexes).
+// Item_order, datavector semijoins for the value attributes, whose results
+// are synced, so the multiplexes over them run positionally).
 
 #include <cstdio>
 #include <cstdlib>

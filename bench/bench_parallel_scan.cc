@@ -227,6 +227,18 @@ int main(int argc, char** argv) {
     return Bat(Column::MakeOid(std::move(heads)),
                Column::MakeOid(std::move(fks)));
   }();
+  // Datavector semijoin: dv_attr against a shuffled selection of its class,
+  // ~1.5% of the oids dangling (a partial hit). Every repetition probes.
+  Bat dv_sel = [&] {
+    Rng rng(26);
+    std::vector<Oid> oids(small);
+    std::iota(oids.begin(), oids.end(), Oid{1});
+    for (size_t i = small; i > 1; --i) {
+      std::swap(oids[i - 1], oids[rng.Uniform(0, static_cast<int64_t>(i) - 1)]);
+    }
+    for (size_t i = 0; i < small; i += 64) oids[i] += small;
+    return Bat(Column::MakeOid(std::move(oids)), Column::MakeVoid(0, small));
+  }();
 
   struct Named {
     const char* name;
@@ -254,6 +266,10 @@ int main(int argc, char** argv) {
       {"datavector_join", small,
        [&](const kernel::ExecContext& ctx) {
          return kernel::Join(ctx, dv_fk, dv_attr).ValueOrDie().size();
+       }},
+      {"datavector_semijoin", small,
+       [&](const kernel::ExecContext& ctx) {
+         return kernel::Semijoin(ctx, dv_attr, dv_sel).ValueOrDie().size();
        }},
       {"hash_group", small,
        [&](const kernel::ExecContext& ctx) {

@@ -5,11 +5,8 @@
 
 namespace moaflat::bat {
 
-Datavector::Datavector(ColumnPtr extent, ColumnPtr values,
-                       std::shared_ptr<DvLookupCache> cache)
-    : extent_(std::move(extent)),
-      values_(std::move(values)),
-      cache_(cache ? std::move(cache) : std::make_shared<DvLookupCache>()) {
+Datavector::Datavector(ColumnPtr extent, ColumnPtr values)
+    : extent_(std::move(extent)), values_(std::move(values)) {
   // The extent is sorted and duplicate-free, so it is dense iff its span
   // equals its length.
   const size_t n = extent_->size();

@@ -2,13 +2,8 @@
 #define MOAFLAT_BAT_DATAVECTOR_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "bat/column.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace moaflat::bat {
 
@@ -23,46 +18,17 @@ namespace moaflat::bat {
 /// by all attributes of a class, which is what makes results of several
 /// datavector semijoins mutually synced.
 ///
-/// The LOOKUP position cache of the Section 5.2.1 pseudo-code lives here:
-/// the first semijoin against a given selection probes the extent and
-/// memoizes the hit positions; subsequent semijoins with the same right
-/// operand reuse them ("has already blazed the trail into the extent",
-/// Fig. 10 commentary). The cache is shared by all datavectors of one class
-/// (they index into the same extent, so positions computed for a right
-/// operand by one attribute's semijoin are valid for every attribute).
-/// Thread-safe: concurrent queries of separate ExecContexts share the base
-/// BATs and therefore this cache; a mutex guards the (rare) misses and the
-/// cheap lookups alike.
-class DvLookupCache {
- public:
-  std::shared_ptr<const std::vector<uint32_t>> Find(uint64_t key) const
-      MOAFLAT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    auto it = cache_.find(key);
-    return it == cache_.end() ? nullptr : it->second;
-  }
-  void Store(uint64_t key,
-             std::shared_ptr<const std::vector<uint32_t>> positions)
-      MOAFLAT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    cache_[key] = std::move(positions);
-  }
-
- private:
-  mutable Mutex mu_{LockRank::kLookupCache, "dv.lookup_cache"};
-  std::unordered_map<uint64_t, std::shared_ptr<const std::vector<uint32_t>>>
-      cache_ MOAFLAT_GUARDED_BY(mu_);
-};
-
+/// The Section 5.2.1 pseudo-code keeps a LOOKUP array of the positions the
+/// probe found. Every extent is dense, so a probe is one subtraction
+/// (MapPositions) and the positions are call-local to each semijoin; the
+/// accelerator holds no state beyond its two columns.
 class Datavector {
  public:
   /// `extent`: the class's oids as the dense run base, base+1, ...,
   /// base+n-1 (every extent the loader builds); `values`: the attribute
-  /// value for extent[i] at position i; `cache`: the per-class shared
-  /// LOOKUP cache (a private one is created if omitted). Aborts if the
-  /// extent is not dense — MapPositions relies on it.
-  Datavector(ColumnPtr extent, ColumnPtr values,
-             std::shared_ptr<DvLookupCache> cache = nullptr);
+  /// value for extent[i] at position i. Aborts if the extent is not
+  /// dense — MapPositions relies on it.
+  Datavector(ColumnPtr extent, ColumnPtr values);
 
   const ColumnPtr& extent() const { return extent_; }
   const ColumnPtr& values() const { return values_; }
@@ -95,28 +61,9 @@ class Datavector {
     }
   }
 
-  /// Cached LOOKUP array for a right operand identified by `key` (the heap
-  /// id of its head column — columns are immutable, so the id identifies
-  /// the value set). Null if this right operand was never looked up by any
-  /// datavector of the class.
-  std::shared_ptr<const std::vector<uint32_t>> CachedLookup(
-      uint64_t key) const {
-    return cache_->Find(key);
-  }
-
-  void StoreLookup(uint64_t key,
-                   std::shared_ptr<const std::vector<uint32_t>> positions) {
-    cache_->Store(key, std::move(positions));
-  }
-
-  const std::shared_ptr<DvLookupCache>& lookup_cache() const {
-    return cache_;
-  }
-
  private:
   ColumnPtr extent_;
   ColumnPtr values_;
-  std::shared_ptr<DvLookupCache> cache_;
 };
 
 }  // namespace moaflat::bat

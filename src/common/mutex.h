@@ -25,8 +25,7 @@
 ///
 /// The global order (see README "Concurrency correctness"):
 ///
-///   wire < scheduler < pool < session < wal < accelerator < lookup-cache
-///        < cancel
+///   wire < scheduler < pool < session < wal < accelerator < cancel
 ///
 /// so e.g. the query service (kSession) may take the WAL lock or probe an
 /// accelerator cache while holding its own, but no accelerator path may
@@ -43,7 +42,6 @@ enum class LockRank : int {
   kSession = 30,      // QueryService sessions/queues/catalog
   kWal = 40,          // Wal append + group-commit horizons
   kAccelerator = 60,  // Bat side-aux (hash index / datavector slots)
-  kLookupCache = 65,  // DvLookupCache memo
   kCancel = 70,       // CancelState verdict (leaf: Cancel() fires anywhere)
 };
 

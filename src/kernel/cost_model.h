@@ -88,7 +88,8 @@ class CostModel {
   double ERel(double s) const;
 
   /// E_dv(s, p): selection on one tail-sorted BAT plus (p+1) datavector
-  /// semijoins (the +1 is the extent lookup of the first semijoin).
+  /// semijoins (the +1 is the extent lookup: every semijoin probes the
+  /// extent, but in a cold run only the first one faults its pages).
   double EDv(double s, int p) const;
 
   /// Selectivity at which E_rel and E_dv(p) cross (bisection on s in

@@ -386,7 +386,7 @@ void RegisterJoinKernels(KernelRegistry& r) {
                kCpuHashed;
       },
       std::function<BinaryImplSig>(HashJoin),
-      "probe the (cached) hash accelerator on CD's head (parallel probe)");
+      "probe the hash accelerator kept on CD's head (parallel probe)");
 }
 
 }  // namespace internal

@@ -107,17 +107,18 @@ decltype(auto) WithBitAccessor(const MxArg& arg, Cont&& cont) {
   return cont([v](size_t) { return v; });
 }
 
-enum class NumOp { kAdd, kSub, kMul, kDiv, kNone };
+/// The arithmetic the unboxed loops evaluate. "/" is not among them: its
+/// division-by-zero error needs the boxed ScalarApply, which reports it.
+enum class NumOp { kAdd, kSub, kMul, kNone };
 
 NumOp NumOpOf(const std::string& fn) {
   if (fn == "+") return NumOp::kAdd;
   if (fn == "-") return NumOp::kSub;
   if (fn == "*") return NumOp::kMul;
-  if (fn == "/") return NumOp::kDiv;
   return NumOp::kNone;
 }
 
-/// Unboxed fast path: binary arithmetic over synced numeric operands,
+/// Unboxed fast path: binary +, - or * over synced numeric operands,
 /// parallel-block executed (Section 2). The operator and both operand
 /// types are resolved once; the inner loop is a zero-dispatch typed pass
 /// writing disjoint slices of the pre-sized output vector.
@@ -146,12 +147,6 @@ Result<Bat> SyncedNumericMultiplex(const ExecContext& ctx,
             break;
           case NumOp::kMul:
             for (size_t i = begin; i < end; ++i) o[i] = ax(i) * ay(i);
-            break;
-          case NumOp::kDiv:
-            for (size_t i = begin; i < end; ++i) {
-              const double y = ay(i);
-              o[i] = y == 0 ? 0 : ax(i) / y;
-            }
             break;
           case NumOp::kNone:  // unreachable: the variant predicate gates
             break;
@@ -237,7 +232,7 @@ bool TypedEvalRows(const std::string& fn, const std::vector<MxArg>& args,
                    MonetType out_type, size_t begin, size_t end,
                    const ArgIndexer& at, double* out) {
   const NumOp arith = NumOpOf(fn);
-  if (arith != NumOp::kNone && arith != NumOp::kDiv && args.size() == 2 &&
+  if (arith != NumOp::kNone && args.size() == 2 &&
       out_type == MonetType::kDbl && ArgNumViewable(args[0]) &&
       ArgNumViewable(args[1])) {
     WithNumAccessor(args[0], [&](auto ax) {
@@ -674,7 +669,8 @@ void RegisterMultiplexKernels(KernelRegistry& r) {
       "multiplex", "multiplex_synced_numeric",
       [](const DispatchInput& in) {
         return in.synced && in.param.has_value() && in.param->flag &&
-               in.param->code == 2 && IsNumericBinary(in.param->name);
+               in.param->code == 2 &&
+               NumOpOf(in.param->name) != NumOp::kNone;
       },
       [](const DispatchInput& in) { return MxTailPages(in); },
       std::function<MultiplexImplSig>(SyncedNumericMultiplex),

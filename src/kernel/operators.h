@@ -82,7 +82,7 @@ Result<Bat> Join(const ExecContext& ctx, const Bat& ab, const Bat& cd);
 /// Semijoin: {ab | ab in AB, exists cd in CD with a == c} — the fragment
 /// reassembly workhorse (Section 5.2). Registered variants: sync_semijoin
 /// (operands synced: returns a copy of AB), datavector_semijoin (Section
-/// 5.2.1 pseudo-code, with the persistent LOOKUP cache), merge_semijoin,
+/// 5.2.1 pseudo-code: every call probes the dense extent), merge_semijoin,
 /// hash_semijoin.
 Result<Bat> Semijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd);
 

@@ -85,8 +85,8 @@ DispatchInput MakeInput(const Bat& ab);
 DispatchInput MakeInput(const Bat& ab, const Bat& cd);
 
 /// Exec signatures of the registered operator families. Every variant
-/// finishes its own OpRecorder (so it can refine the reported name, e.g.
-/// "datavector_semijoin(cached)").
+/// finishes its own OpRecorder with the name it reports and its result
+/// size.
 struct Bound;  // defined in operators.h
 enum class AggKind;
 enum class CmpOp;

@@ -28,11 +28,11 @@ Status Arity(const std::string& fn, size_t got, size_t want) {
                          std::to_string(got));
 }
 
-}  // namespace
-
 bool IsNumericBinary(const std::string& fn) {
   return fn == "+" || fn == "-" || fn == "*" || fn == "/";
 }
+
+}  // namespace
 
 Result<MonetType> ScalarResultType(const std::string& fn,
                                    const std::vector<MonetType>& args) {

@@ -32,10 +32,6 @@ Result<MonetType> ScalarResultType(const std::string& fn,
 Result<Value> ScalarApply(const std::string& fn,
                           const std::vector<Value>& args);
 
-/// True if `fn` is a pure numeric binary operator eligible for the
-/// unboxed multiplex fast path.
-bool IsNumericBinary(const std::string& fn);
-
 /// SQL LIKE matching with '%' (any run) and '_' (any single char).
 bool LikeMatch(std::string_view text, std::string_view pattern);
 

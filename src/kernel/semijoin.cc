@@ -36,94 +36,83 @@ Result<Bat> SyncSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 }
 
 /// The datavector semijoin of Section 5.2.1, following the paper's
-/// pseudo-code: probe the dense EXTENT once per right operand (positionally,
-/// Datavector::MapPositions), memoize the LOOKUP positions in the
-/// accelerator, then fetch head/tail pairs from the positionally stored
-/// EXTENT/VECTOR. A full hit — every CD oid found — yields CD's own head
-/// sequence, so the result is synced with CD rather than carrying a derived
-/// key.
+/// pseudo-code: probe the dense EXTENT with every CD oid (positionally,
+/// Datavector::MapPositions), then fetch head/tail pairs from the
+/// positionally stored EXTENT/VECTOR at the hit positions. The positions
+/// (the pseudo-code's LOOKUP array) live only for the call. A full hit —
+/// every CD oid found — yields CD's own head sequence, so the result is
+/// synced with CD rather than carrying a derived key.
 Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
                                const Bat& cd, OpRecorder& rec) {
   const std::shared_ptr<Datavector> dv = ab.datavector();
   const Column& extent = *dv->extent();
   const Column& vector = *dv->values();
 
-  const uint64_t key = cd.head().heap_id();
-  std::shared_ptr<const std::vector<uint32_t>> lookup =
-      dv->CachedLookup(key);
-  const bool cached = lookup != nullptr;
-  if (!cached) {
-    // First semijoin with this right operand: probe every element of CD's
-    // head in the extent (lines 7-15 of the pseudo-code). The probes are
-    // independent, so they run as morsels on the TaskPool; block shards
-    // concatenate in block order, reproducing the serial LOOKUP array
-    // (and, via the shard merge, its exact probe faults).
-    cd.head().TouchAll(ctx.io());
-    const BlockPlan plan = ctx.Plan(cd.size());
-    struct alignas(64) Shard {
-      std::vector<uint32_t> positions;
-    };
-    std::vector<Shard> shards(plan.blocks);
-    internal::ShardIo shard_io(ctx, plan);
-    RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-      std::vector<uint32_t>& mine = shards[block].positions;
-      dv->MapPositions(
-          cd.head(), begin, end,
-          [&](size_t, uint32_t pos) { mine.push_back(pos); }, [](size_t) {});
-      // One extent slot per hit, in probe order: E_dv's extent lookup.
-      extent.TouchGather(shard_io.For(block), mine.data(), mine.size());
-    });
-    shard_io.Merge();
-    // An interrupted probe phase leaves partial shards: bail *before*
-    // caching, so the accelerator's LOOKUP memo is never half-built.
-    MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-    auto positions = std::make_shared<std::vector<uint32_t>>();
-    positions->reserve(cd.size());
-    for (const Shard& s : shards) {
-      positions->insert(positions->end(), s.positions.begin(),
-                        s.positions.end());
-    }
-    dv->StoreLookup(key, positions);
-    lookup = positions;
-  }
-
-  // Insertion phase (lines 16-20): fetch matching head and tail values
-  // from EXTENT and VECTOR by position — morsels over the LOOKUP array
-  // scatter into the pre-sized result heaps concurrently (the positions
-  // are data, not results, so there is no match-count phase to run).
-  const size_t hits = lookup->size();
-  MF_RETURN_NOT_OK(ChargeGather(ctx, hits, extent, vector));
-  const BlockPlan iplan = ctx.Plan(hits);
-  bat::ColumnScatter hs(extent, hits);
-  bat::ColumnScatter ts(vector, hits);
-  const uint32_t* pos_data = lookup->data();
-  struct alignas(64) InsertShard {
+  // Probe phase (lines 7-15 of the pseudo-code): every element of CD's
+  // head, as independent morsels on the TaskPool. Each block keeps its
+  // hit positions in CD order.
+  cd.head().TouchAll(ctx.io());
+  const BlockPlan plan = ctx.Plan(cd.size());
+  struct alignas(64) Shard {
+    std::vector<uint32_t> positions;
     bool ascending = true;
   };
-  std::vector<InsertShard> ishards(iplan.blocks);
-  internal::ShardIo shard_io(ctx, iplan);
-  RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
-    InsertShard& mine = ishards[block];
-    const uint32_t* idx = pos_data + begin;
-    Column::TouchGathers(shard_io.For(block),
-                         {{&extent, idx}, {&vector, idx}}, end - begin);
-    hs.Gather(idx, end - begin, begin);
-    ts.Gather(idx, end - begin, begin);
-    // Blocks overlap by one element, so block-local ascending runs chain
-    // into a global one.
-    const size_t from = begin > 0 ? begin - 1 : begin;
-    mine.ascending = std::is_sorted(pos_data + from, pos_data + end);
+  std::vector<Shard> shards(plan.blocks);
+  internal::ShardIo probe_io(ctx, plan);
+  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+    std::vector<uint32_t>& mine = shards[block].positions;
+    mine.reserve(end - begin);
+    dv->MapPositions(
+        cd.head(), begin, end,
+        [&](size_t, uint32_t pos) { mine.push_back(pos); }, [](size_t) {});
+    // One extent slot per hit, in probe order: E_dv's extent lookup.
+    extent.TouchGather(probe_io.For(block), mine.data(), mine.size());
   });
-  shard_io.Merge();
-  bool ascending = true;
-  for (const InsertShard& s : ishards) ascending = ascending && s.ascending;
+  probe_io.Merge();
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
+
+  std::vector<size_t> offset(plan.blocks + 1, 0);
+  for (size_t bl = 0; bl < plan.blocks; ++bl) {
+    offset[bl + 1] = offset[bl] + shards[bl].positions.size();
+  }
+  const size_t hits = offset.back();
+
+  // Insertion phase (lines 16-20): each block fetches its hits' head and
+  // tail values from EXTENT and VECTOR, reading its probe shard in place
+  // and scattering at its prefix-summed offset into the result heaps.
+  MF_RETURN_NOT_OK(ChargeGather(ctx, hits, extent, vector));
+  bat::ColumnScatter hs(extent, hits);
+  bat::ColumnScatter ts(vector, hits);
+  internal::ShardIo insert_io(ctx, plan);
+  RunBlocks(plan, [&](int block, size_t, size_t) {
+    Shard& mine = shards[block];
+    const uint32_t* idx = mine.positions.data();
+    const size_t m = mine.positions.size();
+    Column::TouchGathers(insert_io.For(block),
+                         {{&extent, idx}, {&vector, idx}}, m);
+    hs.Gather(idx, m, offset[block]);
+    ts.Gather(idx, m, offset[block]);
+    mine.ascending = std::is_sorted(idx, idx + m);
+  });
+  insert_io.Merge();
+  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
+  // Block-local ascending runs chain into a global one when each block's
+  // first hit follows the previous non-empty block's last.
+  bool ascending = true;
+  const uint32_t* last = nullptr;
+  for (const Shard& s : shards) {
+    if (s.positions.empty()) continue;
+    ascending = ascending && s.ascending &&
+                (last == nullptr || *last <= s.positions.front());
+    last = &s.positions.back();
+  }
 
   ColumnPtr out_head = hs.Finish();
   if (hits == cd.size()) {
-    // Full hit: the extent is duplicate-free and LOOKUP keeps CD order, so
-    // every CD oid was found exactly once and out_head[i] == cd.head[i] for
-    // all i — the result head *is* CD's head sequence, whatever the tails.
+    // Full hit: the extent is duplicate-free and the positions keep CD
+    // order, so every CD oid was found exactly once and out_head[i] ==
+    // cd.head[i] for all i — the result head *is* CD's head sequence,
+    // whatever the tails.
     SetSync(out_head, cd.head().sync_key());  // lint:allow(sync-head-only)
   } else {
     // All datavector semijoins of one class against the same selection are
@@ -139,8 +128,7 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
   props.tsorted = false;
   props.tkey = false;
   MF_ASSIGN_OR_RETURN(Bat res, Bat::Make(out_head, ts.Finish(), props));
-  rec.Finish(cached ? "datavector_semijoin(cached)" : "datavector_semijoin",
-             res.size());
+  rec.Finish("datavector_semijoin", res.size());
   return res;
 }
 
@@ -456,7 +444,7 @@ void RegisterSemijoinKernels(KernelRegistry& r) {
                kCpuSequential;
       },
       std::function<BinaryImplSig>(DatavectorSemijoin),
-      "Section 5.2.1 datavector with the persistent LOOKUP cache");
+      "Section 5.2.1 datavector: dense extent probe, positional fetch");
   r.Register<BinaryImplSig>(
       "semijoin", "merge_semijoin",
       [](const DispatchInput& in) {
@@ -488,7 +476,7 @@ void RegisterSemijoinKernels(KernelRegistry& r) {
                kCpuHashed;
       },
       std::function<BinaryImplSig>(HashSemijoin),
-      "probe the (cached) hash accelerator on CD's head (parallel probe)");
+      "probe the hash accelerator kept on CD's head (parallel probe)");
 
   // kdiff/kunion have one registered shape each today; registration still
   // buys costs in the decision table (Explain) and a seam for future

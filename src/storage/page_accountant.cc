@@ -106,12 +106,6 @@ void IoStats::TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc) {
   RecordFault(PageKey(heap, page), acc);
 }
 
-void IoStats::AdmitCold(uint64_t heap, uint64_t page, Access acc) {
-  // Replay path: bypass the memos (they are maintained by RecordFault /
-  // TouchPageColdSlow anyway) but share the bitmap residency state.
-  TouchPageCold(heap, page, acc);
-}
-
 void IoStats::AdmitLru(uint64_t key, Access acc) {
   auto it = resident_.find(key);
   if (it != resident_.end()) {
@@ -121,13 +115,7 @@ void IoStats::AdmitLru(uint64_t key, Access acc) {
     }
     return;
   }
-  ++faults_;
-  if (acc == Access::kSequential) {
-    ++seq_faults_;
-  } else {
-    ++rand_faults_;
-  }
-  if (log_faults_) fault_log_.emplace_back(key, acc);
+  RecordFault(key, acc);
   lru_.push_front(key);
   resident_[key] = lru_.begin();
   if (resident_.size() > capacity_) {
@@ -144,7 +132,7 @@ void IoStats::MergeFrom(const IoStats& shard) {
     return;
   }
   for (const auto& [key, acc] : shard.fault_log_) {
-    AdmitCold(key >> 22, key & kPageMask, acc);
+    TouchPageCold(key >> 22, key & kPageMask, acc);
   }
 }
 

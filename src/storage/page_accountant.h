@@ -195,8 +195,6 @@ class IoStats {
 
   /// LRU-mode admission (the only path that pays for the recency map).
   void AdmitLru(uint64_t key, Access acc);
-  /// Cold-mode admission of one page, bypassing the memos.
-  void AdmitCold(uint64_t heap, uint64_t page, Access acc);
   /// Cold-mode slow path of TouchPage: resolve the heap bitmap.
   void TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc);
   /// The heap's touched-page bitmap via the small heap cache (created and
@@ -224,6 +222,7 @@ class IoStats {
     TouchPageColdSlow(heap, page, acc);
   }
 
+  /// The one fault-counting path of both modes.
   void RecordFault(uint64_t key, Access acc) {
     ++faults_;
     if (acc == Access::kSequential) {

@@ -40,8 +40,7 @@ class ClassLoader {
       : db_(db),
         cls_(std::move(cls)),
         base_(base),
-        n_(n),
-        lookup_cache_(std::make_shared<bat::DvLookupCache>()) {
+        n_(n) {
     extent_col_ = DenseOids(base, n);
     Bat extent(extent_col_, Column::MakeVoid(0, n),
                Properties{true, false, true, true});
@@ -56,11 +55,9 @@ class ClassLoader {
     Bat oid_ordered(extent_col_, values, Properties{true, false, true, false});
     stats->base_bytes += values->byte_size();
 
-    // All attributes of the class share one extent and one LOOKUP cache:
-    // the first datavector semijoin against a selection "blazes the trail"
-    // for every other attribute (Section 5.2.1 / Fig. 10 commentary).
-    auto dv =
-        std::make_shared<bat::Datavector>(extent_col_, values, lookup_cache_);
+    // All attributes of the class share one extent, so their datavector
+    // semijoins against one selection are mutually synced (Section 5.2.1).
+    auto dv = std::make_shared<bat::Datavector>(extent_col_, values);
     stats->datavector_bytes += values->byte_size();
 
     MF_ASSIGN_OR_RETURN(
@@ -75,7 +72,6 @@ class ClassLoader {
   std::string cls_;
   Oid base_;
   size_t n_;
-  std::shared_ptr<bat::DvLookupCache> lookup_cache_;
   ColumnPtr extent_col_;
 };
 

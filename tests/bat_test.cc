@@ -301,15 +301,6 @@ TEST(DatavectorDeathTest, SparseExtentAborts) {
                "not dense");  // a single missing oid
 }
 
-TEST(DatavectorTest, LookupCacheRoundTrip) {
-  Datavector dv(Column::MakeOid({1, 2}), Column::MakeInt({5, 6}));
-  EXPECT_EQ(dv.CachedLookup(77), nullptr);
-  auto vec = std::make_shared<std::vector<uint32_t>>(
-      std::vector<uint32_t>{0, 1});
-  dv.StoreLookup(77, vec);
-  EXPECT_EQ(dv.CachedLookup(77), vec);
-}
-
 TEST(PageAccountingTest, ColdTouchesFaultOncePerPage) {
   storage::IoStats io;
   ColumnPtr c = Column::MakeInt(std::vector<int32_t>(4096, 7));  // 16 KB

@@ -2,8 +2,8 @@
 // operator variants, the variant the KernelRegistry predicts cheapest
 // (expected page faults, Section 5.2.2) must also be the measured-cheapest
 // under the ExecContext IoStats accountant. Every variant runs on a
-// freshly loaded instance so accelerator caches built by one variant
-// (head hashes, datavector LOOKUPs) cannot subsidize another.
+// freshly loaded instance so a head hash built by one variant cannot
+// subsidize another.
 
 #include <gtest/gtest.h>
 

@@ -315,8 +315,8 @@ TEST(ExecContextTest, ExplainMatchesFig10Q13Trace) {
   expect_match("join", items);
   EXPECT_EQ(tracer.records.back().impl, predicted);
 
-  // returns := semijoin(Item_returnflag, items) — the first datavector
-  // semijoin pays the extent lookups.
+  // returns := semijoin(Item_returnflag, items) — a datavector semijoin
+  // probes the extent.
   predicted = check2("semijoin", item_rf, items);
   EXPECT_EQ(predicted, "datavector_semijoin");
   Bat returns = kernel::Semijoin(ctx, item_rf, items).ValueOrDie();
@@ -328,13 +328,10 @@ TEST(ExecContextTest, ExplainMatchesFig10Q13Trace) {
   predicted = check2("semijoin", item_order, ritems);
   Bat critems = kernel::Semijoin(ctx, item_order, ritems).ValueOrDie();
   expect_match("semijoin", critems);
-  // Explain cannot see the LOOKUP cache state (that is execution state,
-  // not an operand property), so compare modulo the "(cached)" refinement.
-  EXPECT_EQ(tracer.records.back().impl.substr(0, predicted.size()),
-            predicted);
+  EXPECT_EQ(tracer.records.back().impl, predicted);
 
-  // prices/discount := semijoin(value attribute, critems): the second one
-  // rides the LOOKUP cache the first one blazed (Fig. 10 commentary).
+  // prices/discount := semijoin(value attribute, critems): each probes the
+  // class extent, so Explain predicts the executed variant exactly.
   predicted = check2("semijoin", item_price, critems);
   EXPECT_EQ(predicted, "datavector_semijoin");
   Bat prices = kernel::Semijoin(ctx, item_price, critems).ValueOrDie();
@@ -343,7 +340,7 @@ TEST(ExecContextTest, ExplainMatchesFig10Q13Trace) {
   predicted = check2("semijoin", item_disc, critems);
   EXPECT_EQ(predicted, "datavector_semijoin");
   Bat discount = kernel::Semijoin(ctx, item_disc, critems).ValueOrDie();
-  EXPECT_EQ(tracer.records.back().impl, "datavector_semijoin(cached)");
+  EXPECT_EQ(tracer.records.back().impl, "datavector_semijoin");
 
   // The two datavector semijoins against the same selection are synced:
   // the multiplexes run positionally, and a semijoin between them would

@@ -148,6 +148,40 @@ TEST(FaultInjectionTest, IoDrawsAreOnePerFaultAtAnyDegree) {
   EXPECT_EQ(draws4, draws1);
 }
 
+TEST(FaultInjectionTest, LruAccountantDrawsLikeAColdOne) {
+  // A capacity-limited pager counts a fault through the same path as a
+  // cold one, so an armed injector fires under memory pressure too; a
+  // block shard only logs its faults and never draws.
+  const uint64_t heap = storage::NewHeapId();
+  constexpr int kPage = static_cast<int>(storage::kPageSize);
+  const auto touch16 = [&](storage::IoStats& io) {
+    for (uint64_t page = 0; page < 16; ++page) {
+      io.TouchElement(heap, page, kPage, storage::Access::kRandom);
+    }
+  };
+  uint64_t cold_draws = 0;
+  for (size_t capacity : {0, 8}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    FaultInjector fi(/*seed=*/5, /*rate=*/1.0);
+    FaultScope scope(&fi);
+    storage::IoStats io(capacity);
+    touch16(io);
+    EXPECT_EQ(io.faults(), 16u);
+    EXPECT_EQ(io.TakeError().code(), StatusCode::kIoError);
+    const uint64_t draws = fi.calls(FaultInjector::Site::kIo);
+    EXPECT_GT(draws, 0u);
+    if (capacity == 0) cold_draws = draws;
+    EXPECT_EQ(draws, cold_draws);
+  }
+  FaultInjector fi(/*seed=*/5, /*rate=*/1.0);
+  FaultScope scope(&fi);
+  storage::IoStats shard = storage::IoStats::ForShard();
+  touch16(shard);
+  EXPECT_EQ(shard.faults(), 16u);
+  EXPECT_EQ(fi.calls(FaultInjector::Site::kIo), 0u);
+  EXPECT_TRUE(shard.TakeError().ok());
+}
+
 TEST(FaultInjectionTest, InjectedAllocFailureUnwindsAtStatementBoundary) {
   mil::MilEnv env;
   env.BindBat("nums", NumsBat(50000));

@@ -215,7 +215,7 @@ TEST(SemijoinTest, MergeSemijoinWhenBothHeadSorted) {
   EXPECT_EQ(Heads(out), (std::vector<Oid>{2, 3}));
 }
 
-TEST(SemijoinTest, DatavectorSemijoinUsedAndCached) {
+TEST(SemijoinTest, DatavectorSemijoinUsedOnEveryCall) {
   // Attribute BAT sorted on tail with a datavector attached.
   Bat attr(Column::MakeOid({3, 1, 2, 4}), Column::MakeInt({5, 6, 7, 8}),
            Properties{false, false, false, true});
@@ -232,15 +232,16 @@ TEST(SemijoinTest, DatavectorSemijoinUsedAndCached) {
   EXPECT_EQ(Heads(out1), (std::vector<Oid>{2, 4}));
   EXPECT_EQ(IntTails(out1), (std::vector<int32_t>{7, 8}));
 
-  // Second semijoin with the same right operand reuses the LOOKUP array.
+  // A second attribute of the class against the same right operand probes
+  // the shared extent again, and its result is synced with the first.
   Bat attr2(Column::MakeOid({4, 3, 2, 1}), Column::MakeInt({80, 50, 70, 60}),
             Properties{false, false, false, true});
   attr2.SetDatavector(std::make_shared<bat::Datavector>(
       dv->extent(), Column::MakeInt({60, 70, 50, 80})));
-  // Use the same accelerator object to model the shared-extent cache.
-  Bat out2 = Semijoin(ctx, attr, sel).ValueOrDie();
-  EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin(cached)");
+  Bat out2 = Semijoin(ctx, attr2, sel).ValueOrDie();
+  EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
   EXPECT_EQ(Heads(out2), Heads(out1));
+  EXPECT_EQ(IntTails(out2), (std::vector<int32_t>{70, 80}));
   EXPECT_TRUE(out1.SyncedWith(out2));
 }
 
@@ -293,7 +294,7 @@ TEST(DatavectorTest, PositionalProbeAgreesWithBinarySearch) {
 }
 
 TEST(DatavectorTest, DenseProbeTouchesOnlyTheCandidateSlot) {
-  // E_dv's "+1 extent lookup": a first-probe semijoin reads CD's head, one
+  // E_dv's "+1 extent lookup": a semijoin reads CD's head, one
   // extent slot per hit (none for an oid outside the extent's span), then
   // the hit's extent and vector slots.
   const auto extent = DenseExtent(1000, 100000);
@@ -315,11 +316,9 @@ TEST(DatavectorTest, DenseProbeTouchesOnlyTheCandidateSlot) {
 }
 
 /// A tail-sorted attribute BAT over `extent` whose value at extent position
-/// i is `value(i)`, with a datavector on the class LOOKUP cache `cache` —
-/// the loader's layout.
+/// i is `value(i)`, with its datavector — the loader's layout.
 Bat DvAttr(const bat::ColumnPtr& extent,
-           const std::function<int32_t(size_t)>& value,
-           std::shared_ptr<bat::DvLookupCache> cache) {
+           const std::function<int32_t(size_t)>& value) {
   const size_t n = extent->size();
   std::vector<int32_t> by_oid(n);
   for (size_t i = 0; i < n; ++i) by_oid[i] = value(i);
@@ -337,7 +336,7 @@ Bat DvAttr(const bat::ColumnPtr& extent,
            Column::MakeInt(std::move(tails)),
            Properties{true, false, false, true});
   attr.SetDatavector(std::make_shared<bat::Datavector>(
-      extent, Column::MakeInt(std::move(by_oid)), std::move(cache)));
+      extent, Column::MakeInt(std::move(by_oid))));
   return attr;
 }
 
@@ -370,16 +369,15 @@ TEST(DatavectorSyncTest, FullHitIsSyncedWithTheRightOperand) {
     ExecContext ctx;
     ctx.WithTracer(&tracer).WithParallelDegree(degree);
     const auto extent = DenseExtent(kDvBase, kDvExtent);
-    auto cache = std::make_shared<bat::DvLookupCache>();
-    Bat a = DvAttr(extent, ValueA, cache);
-    Bat b = DvAttr(extent, ValueB, cache);
+    Bat a = DvAttr(extent, ValueA);
+    Bat b = DvAttr(extent, ValueB);
     Bat cd(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()),
            Properties{true, false, false, false});
 
     Bat ra = Semijoin(ctx, a, cd).ValueOrDie();
     EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
     Bat rb = Semijoin(ctx, b, cd).ValueOrDie();
-    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin(cached)");
+    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
     for (const Bat* r : {&ra, &rb}) {
       EXPECT_EQ(Heads(*r), sel);
       EXPECT_TRUE(r->SyncedWith(cd));
@@ -427,10 +425,8 @@ TEST(DatavectorSyncTest, PartialHitIsNotSynced) {
     ExecTracer tracer;
     ExecContext ctx;
     ctx.WithTracer(&tracer).WithParallelDegree(degree);
-    Bat a = DvAttr(DenseExtent(kDvBase, kDvExtent), ValueA,
-                   std::make_shared<bat::DvLookupCache>());
-    Bat b = DvAttr(DenseExtent(kDvBase + 1, kDvExtent), ValueB,
-                   std::make_shared<bat::DvLookupCache>());
+    Bat a = DvAttr(DenseExtent(kDvBase, kDvExtent), ValueA);
+    Bat b = DvAttr(DenseExtent(kDvBase + 1, kDvExtent), ValueB);
     Bat cd(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()),
            Properties{true, false, false, false});
 
@@ -617,33 +613,71 @@ TEST(DatavectorJoinTest, ChargesWhatItReads) {
   EXPECT_EQ(io.logical_touches(), ref.logical_touches());
 }
 
-TEST(DatavectorSemijoinLruTest, InsertionKeepsTheInterleavedOrder) {
-  // Under a capacity-limited pager the order of extent/vector touches
-  // decides the evictions: a cached-LOOKUP semijoin (insertion phase only)
-  // must fault exactly like the per-element extent, vector, extent, ...
-  // loop of the Section 5.2.1 pseudo-code.
+TEST(DatavectorSemijoinTest, ChargesWhatItReads) {
+  // The Section 5.2.1 pseudo-code's touch order: CD's head sequentially,
+  // then the probe's extent slot per hit, then per hit its extent slot and
+  // vector slot interleaved. An LRU pager sees the order, so it is checked
+  // at small capacities too. A partial hit: every 64th CD oid dangles.
+  ForceFanout fanout;
   const auto extent = DenseExtent(kDvBase, kDvExtent);
-  Bat attr = DvAttr(extent, ValueA, std::make_shared<bat::DvLookupCache>());
-  const std::vector<Oid> sel = ShuffledSelection();
+  Bat attr = DvAttr(extent, ValueA);
+  std::vector<Oid> sel = ShuffledSelection();
+  for (size_t i = 0; i < sel.size(); i += 64) sel[i] += kDvExtent;
   Bat cd(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()));
-  ASSERT_TRUE(Semijoin(ExecContext(), attr, cd).ok());  // fills LOOKUP
-  auto lookup = attr.datavector()->CachedLookup(cd.head().heap_id());
-  ASSERT_NE(lookup, nullptr);
-  for (size_t capacity : {8, 64, 300}) {
-    SCOPED_TRACE("capacity " + std::to_string(capacity));
-    storage::IoStats io(capacity);
-    ExecContext ctx;
-    ctx.WithIo(&io).WithParallelDegree(1);  // shard replay approximates LRU
-    ASSERT_TRUE(Semijoin(ctx, attr, cd).ok());
-    storage::IoStats ref(capacity);
-    for (uint32_t pos : *lookup) {
-      extent->TouchAt(&ref, pos);
-      attr.datavector()->values()->TouchAt(&ref, pos);
+  std::vector<uint32_t> hits;
+  for (Oid oid : sel) {
+    if (oid - kDvBase < kDvExtent) {
+      hits.push_back(static_cast<uint32_t>(oid - kDvBase));
     }
-    EXPECT_EQ(io.faults(), ref.faults());
-    EXPECT_EQ(io.evictions(), ref.evictions());
-    EXPECT_EQ(io.logical_touches(), ref.logical_touches());
   }
+  ASSERT_LT(hits.size(), sel.size());
+  const Column& vector = *attr.datavector()->values();
+  for (size_t capacity : {0, 8, 64, 300}) {
+    // Shard replay is exact for a cold pager and approximates an LRU one,
+    // so only the cold run fans out.
+    for (int degree : {1, 4}) {
+      if (capacity > 0 && degree > 1) continue;
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " degree " +
+                   std::to_string(degree));
+      storage::IoStats io(capacity);
+      ExecContext ctx;
+      ctx.WithIo(&io).WithParallelDegree(degree);
+      Bat got = Semijoin(ctx, attr, cd).ValueOrDie();
+      ASSERT_EQ(got.size(), hits.size());
+      storage::IoStats ref(capacity);
+      cd.head().TouchAll(&ref);
+      for (uint32_t pos : hits) extent->TouchAt(&ref, pos);
+      for (uint32_t pos : hits) {
+        extent->TouchAt(&ref, pos);
+        vector.TouchAt(&ref, pos);
+      }
+      EXPECT_EQ(io.faults(), ref.faults());
+      EXPECT_EQ(io.random_faults(), ref.random_faults());
+      EXPECT_EQ(io.sequential_faults(), ref.sequential_faults());
+      EXPECT_EQ(io.evictions(), ref.evictions());
+      EXPECT_EQ(io.logical_touches(), ref.logical_touches());
+    }
+  }
+}
+
+TEST(DatavectorSemijoinTest, ColdFaultsDoNotDependOnHistory) {
+  // A right operand that outlives the call — a base attribute BAT of the
+  // class, as in semijoin(Item_extendedprice, Item_order) — is charged
+  // alike on every cold run: an earlier semijoin leaves nothing behind.
+  const auto extent = DenseExtent(kDvBase, kDvExtent);
+  Bat attr = DvAttr(extent, ValueA);
+  Bat cd = DvAttr(extent, ValueB);
+  std::vector<storage::IoStats> runs(2);
+  for (storage::IoStats& io : runs) {
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithIo(&io).WithTracer(&tracer);
+    ASSERT_TRUE(Semijoin(ctx, attr, cd).ok());
+    EXPECT_EQ(tracer.LastImplOf("semijoin"), "datavector_semijoin");
+  }
+  EXPECT_GT(runs[0].faults(), 0u);
+  EXPECT_EQ(runs[1].faults(), runs[0].faults());
+  EXPECT_EQ(runs[1].logical_touches(), runs[0].logical_touches());
 }
 
 TEST(SemijoinTest, DiffIsAntiSemijoin) {
@@ -701,6 +735,53 @@ TEST(MultiplexTest, SyncedNumericFastPath) {
   EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_synced_numeric");
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 4.0);
   EXPECT_TRUE(out.SyncedWith(price));
+}
+
+TEST(MultiplexTest, DivisionByZeroFailsOnEveryPath) {
+  // "/" reports a zero divisor as an error whichever variant the operands
+  // select: synced operands leave the unboxed fast path to the boxed
+  // evaluation, which reports it like the head-join path and calc./ do.
+  ForceFanout fanout;
+  constexpr size_t kRows = 100000;  // several blocks under fan-out
+  std::vector<Oid> oids(kRows);
+  std::iota(oids.begin(), oids.end(), Oid{1});
+  std::vector<double> x(kRows), y(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    x[i] = static_cast<double>(i);
+    y[i] = static_cast<double>(i % 7 + 1);
+  }
+  const auto head = Column::MakeOid(oids);
+  // The divisor synced with the dividend, or on reversed heads (a
+  // head-join), with and without a zero near the end.
+  const auto divisor = [&](bool synced, bool zero) {
+    std::vector<Oid> h = oids;
+    std::vector<double> d = y;
+    if (zero) d[kRows - 3] = 0;
+    if (synced) return Bat(head, Column::MakeDbl(std::move(d)));
+    std::reverse(h.begin(), h.end());
+    std::reverse(d.begin(), d.end());
+    return Bat(Column::MakeOid(std::move(h)), Column::MakeDbl(std::move(d)));
+  };
+  Bat num(head, Column::MakeDbl(x));
+  for (int degree : {1, 4}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithTracer(&tracer).WithParallelDegree(degree);
+    for (bool synced : {true, false}) {
+      SCOPED_TRACE(synced ? "synced" : "head-join");
+      Bat q = Multiplex(ctx, "/", {num, divisor(synced, false)}).ValueOrDie();
+      EXPECT_EQ(tracer.LastImplOf("multiplex"),
+                synced ? "multiplex_synced" : "multiplex_headjoin");
+      EXPECT_DOUBLE_EQ(q.tail().NumAt(10), x[10] / y[10]);
+      auto res = Multiplex(ctx, "/", {num, divisor(synced, true)});
+      ASSERT_FALSE(res.ok());
+      EXPECT_NE(res.status().message().find("division by zero"),
+                std::string::npos);
+    }
+    Multiplex(ctx, "*", {num, divisor(true, true)}).ValueOrDie();
+    EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_synced_numeric");
+  }
 }
 
 TEST(MultiplexTest, ConstantArgumentBroadcasts) {

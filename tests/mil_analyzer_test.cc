@@ -355,10 +355,10 @@ TEST(MilAnalyzerIntervalTest, AdmittedBoundCoversMeasuredFaults) {
   EXPECT_GE(q1.hi, q1.measured)
       << "Q1 hi bound " << q1.hi << " below measured " << q1.measured;
 
-  // The rewriter's own Q1, Q6 and Q10 plans: first-probe and cached
-  // datavector semijoins, sync semijoins, fetch_joins over INDEX and (Q10)
-  // datavector joins into class attributes — the statements the
-  // hand-written plans above never reach.
+  // The rewriter's own Q1, Q6 and Q10 plans: datavector semijoins, sync
+  // semijoins, fetch_joins over INDEX and (Q10) datavector joins into
+  // class attributes — the statements the hand-written plans above never
+  // reach.
   for (int q : {1, 6, 10}) {
     auto fresh = tpcd::MakeInstance(0.004).ValueOrDie();
     tpcd::QuerySuite suite(fresh);

@@ -50,8 +50,6 @@ TEST(LockRankTest, DocumentedOrderIsPinned) {
   EXPECT_LT(static_cast<int>(LockRank::kWal),
             static_cast<int>(LockRank::kAccelerator));
   EXPECT_LT(static_cast<int>(LockRank::kAccelerator),
-            static_cast<int>(LockRank::kLookupCache));
-  EXPECT_LT(static_cast<int>(LockRank::kLookupCache),
             static_cast<int>(LockRank::kCancel));
 }
 

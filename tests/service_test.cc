@@ -242,8 +242,8 @@ TEST(QueryServiceTest, FourConcurrentSessionsBitIdenticalToDirectRuns) {
   const mil::MilEnv catalog = inst->db.env();
   const std::string q13 = Q13Mil(inst->probe_clerk);
 
-  // Warm the shared accelerators (hash indexes, datavector LOOKUP caches)
-  // once, so reference and service runs see identical accelerator state.
+  // Warm the shared hash indexes once, so reference and service runs see
+  // identical accelerator state.
   (void)RunDirect(catalog, q13, {});
   (void)RunDirect(catalog, kHistogramMil, {});
 
